@@ -27,7 +27,6 @@ _EXPORTS = {
     "DegenerateSpectrum": "errors",
     "NotTangent": "errors",
     "NotOnManifold": "errors",
-    "BoundaryNode": "errors",
     "GridMismatch": "errors",
     "CenterOnBoundary": "errors",
     "ConstraintViolated": "errors",
@@ -53,7 +52,6 @@ _EXPORTS = {
     "solve_ldg": "solvers",
     "solve_harmonic": "solvers",
     "energy_ldg": "fields",
-    "energy_harmonic": "fields",
     "boundary_hedgehog": "fields",
     "boundary_near_constant": "fields",
     "save_field_csv": "fields",

@@ -98,12 +98,6 @@ def compute_xyz(q_l: TensorField, p: MaterialParams) -> DiagnosticFields:
     )
 
 
-def remainder_field(q_l: TensorField, p: MaterialParams) -> np.ndarray:
-    """Remainder r such that lap(Q) = harmonic right-hand side + r holds up
-    to the solver residual, nodewise on the interior."""
-    return compute_xyz(q_l, p).r_field
-
-
 def rewritten_identity_residual(q_l: TensorField, p: MaterialParams) -> np.ndarray:
     """Nodewise norm of lap(Q) - harmonic RHS - remainder with both sides
     built from the same edge-based squared gradient.
@@ -149,25 +143,6 @@ def empirical_corrector(
     )
 
 
-def _inner_lap(arr: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Stencil Laplacian of an interior-node array at its inner nodes."""
-    c = arr[_IN, _IN, _IN]
-    out = (arr[2:, _IN, _IN] - 2.0 * c + arr[:-2, _IN, _IN]) / h[0] ** 2
-    out += (arr[_IN, 2:, _IN] - 2.0 * c + arr[_IN, :-2, _IN]) / h[1] ** 2
-    out += (arr[_IN, _IN, 2:] - 2.0 * c + arr[_IN, _IN, :-2]) / h[2] ** 2
-    return out
-
-
-def _inner_grad(arr: np.ndarray, h: np.ndarray) -> np.ndarray:
-    return np.stack(
-        [
-            (arr[2:, _IN, _IN] - arr[:-2, _IN, _IN]) / (2.0 * h[0]),
-            (arr[_IN, 2:, _IN] - arr[_IN, :-2, _IN]) / (2.0 * h[1]),
-            (arr[_IN, _IN, 2:] - arr[_IN, _IN, :-2]) / (2.0 * h[2]),
-        ]
-    )
-
-
 def corrector_b_residual(
     q_star: TensorField,
     a: np.ndarray,
@@ -187,9 +162,9 @@ def corrector_b_residual(
     h = grid.h
     q_in = q_star.interior[_IN, _IN, _IN]
 
-    lap_b = _inner_lap(b, h)
-    lap_a = _inner_lap(a, h)
-    grads_b = _inner_grad(b, h)
+    lap_b = laplacian_array(b, h)
+    lap_a = laplacian_array(a, h)
+    grads_b = gradient_array(b, h)
     grads_q = gradient_array(q_star.values, h)[:, _IN, _IN, _IN]
     gn2 = grad_norm2(gradient_array(q_star.values, h))[_IN, _IN, _IN]
 

@@ -90,12 +90,7 @@ def main(argv=None) -> int:
 
 
 def _dispatch(args, cfg) -> int:
-    import os as _os
-
     from . import runner
-    from .fields import save_field_csv
-    from .geometry import MaterialParams
-    from .solvers import solve_harmonic, solve_ldg
 
     log = print
 
@@ -111,28 +106,8 @@ def _dispatch(args, cfg) -> int:
               f"({args.trials} trials, tol {args.tol:g})")
         return 0 if ok else 1
 
-    grid = runner._grid_of(cfg)
-    scfg = runner._solve_config(cfg)
-    _os.makedirs(cfg.output_dir, exist_ok=True)
-
-    if args.command == "solve-harmonic":
-        p = MaterialParams(cfg.a2, cfg.b2, cfg.c2, L=cfg.l_ladder[0])
-        init = runner._boundary_field(cfg, grid, p)
-        res = solve_harmonic(init, p, scfg, log=log)
-        path = _os.path.join(cfg.output_dir, "q_star.csv")
-        save_field_csv(res.field, path)
-        print(f"converged={res.converged} iterations={res.iterations} "
-              f"energy={res.final_energy:.17g} residual={res.el_residual:.6e}")
-        print(f"wrote {path}")
-        return 0
-
-    if args.command == "solve-ldg":
-        l_min = cfg.l_ladder[-1]
-        p = MaterialParams(cfg.a2, cfg.b2, cfg.c2, L=l_min)
-        init = runner._boundary_field(cfg, grid, p)
-        res = solve_ldg(init, p, scfg, log=log)
-        path = _os.path.join(cfg.output_dir, "q_l.csv")
-        save_field_csv(res.field, path)
+    if args.command in runner.SOLVE_COMMANDS:
+        res, path = runner.run_solve(cfg, args.command, log=log)
         print(f"converged={res.converged} iterations={res.iterations} "
               f"energy={res.final_energy:.17g} residual={res.el_residual:.6e}")
         print(f"wrote {path}")

@@ -17,10 +17,6 @@ class NotOnManifold(LdglimitError):
     """Input expected to lie on the uniaxial manifold does not."""
 
 
-class BoundaryNode(LdglimitError):
-    """Stencil operation requested at a boundary node."""
-
-
 class GridMismatch(LdglimitError):
     """Fields live on different grids."""
 

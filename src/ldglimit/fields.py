@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundaryNode, CenterOnBoundary, GridMismatch
+from .errors import CenterOnBoundary, GridMismatch
 from .geometry import MaterialParams, uniaxial
 from .bulk import f_bulk_shifted
 from .tensor_algebra import norm
@@ -98,14 +98,9 @@ def _require_same_grid(f: TensorField, g: TensorField) -> None:
         raise GridMismatch("fields live on different grids")
 
 
-def _check_interior(f: TensorField, at: tuple[int, int, int]) -> None:
-    for axis, i in enumerate(at):
-        if not 1 <= i <= f.grid.dims[axis]:
-            raise BoundaryNode(f"node {at} is not interior")
-
-
 def laplacian_array(values: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """7-point stencil Laplacian of a node-lattice array at interior nodes."""
+    """7-point stencil Laplacian at the inner nodes [1:-1]^3 of any
+    lattice array (a field's values, or an interior-node array)."""
     c = values[_IN, _IN, _IN]
     out = (values[2:, _IN, _IN] - 2.0 * c + values[:-2, _IN, _IN]) / h[0] ** 2
     out += (values[_IN, 2:, _IN] - 2.0 * c + values[_IN, :-2, _IN]) / h[1] ** 2
@@ -114,8 +109,8 @@ def laplacian_array(values: np.ndarray, h: np.ndarray) -> np.ndarray:
 
 
 def gradient_array(values: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Centered-difference gradient at interior nodes; axis 0 stacks the
-    three directions."""
+    """Centered-difference gradient at the inner nodes [1:-1]^3; axis 0
+    stacks the three directions."""
     return np.stack(
         [
             (values[2:, _IN, _IN] - values[:-2, _IN, _IN]) / (2.0 * h[0]),
@@ -147,34 +142,6 @@ def edge_grad_squared(values: np.ndarray, h: np.ndarray) -> np.ndarray:
         + (c - values[_IN, _IN, :-2]) @ (c - values[_IN, _IN, :-2])
     ) / (2.0 * h[2] ** 2)
     return out
-
-
-def edge_grad_norm2(values: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Trace of edge_grad_squared: the stencil-compatible |grad Q|^2."""
-    return np.trace(edge_grad_squared(values, h), axis1=-2, axis2=-1)
-
-
-def laplacian(f: TensorField, at: tuple[int, int, int]) -> np.ndarray:
-    """Stencil Laplacian at one interior node."""
-    _check_interior(f, at)
-    i, j, k = at
-    v, h = f.values, f.grid.h
-    out = (v[i + 1, j, k] - 2.0 * v[i, j, k] + v[i - 1, j, k]) / h[0] ** 2
-    out = out + (v[i, j + 1, k] - 2.0 * v[i, j, k] + v[i, j - 1, k]) / h[1] ** 2
-    out = out + (v[i, j, k + 1] - 2.0 * v[i, j, k] + v[i, j, k - 1]) / h[2] ** 2
-    return out
-
-
-def gradient(f: TensorField, at: tuple[int, int, int]) -> tuple[np.ndarray, ...]:
-    """Centered-difference gradient at one interior node."""
-    _check_interior(f, at)
-    i, j, k = at
-    v, h = f.values, f.grid.h
-    return (
-        (v[i + 1, j, k] - v[i - 1, j, k]) / (2.0 * h[0]),
-        (v[i, j + 1, k] - v[i, j - 1, k]) / (2.0 * h[1]),
-        (v[i, j, k + 1] - v[i, j, k - 1]) / (2.0 * h[2]),
-    )
 
 
 def _trapezoid_weights_1d(n: int) -> np.ndarray:
@@ -230,11 +197,6 @@ def energy_ldg(f: TensorField, p: MaterialParams) -> float:
     """Discrete shifted elastic-plus-bulk energy (L/2)|grad Q|^2 + bulk."""
     d, b = energy_ldg_parts(f, p)
     return 0.5 * p.L * d + b
-
-
-def energy_harmonic(f: TensorField) -> float:
-    """Discrete Dirichlet energy integral of |grad Q|^2 (no 1/2 factor)."""
-    return dirichlet_energy(f)
 
 
 def boundary_hedgehog(

@@ -18,7 +18,6 @@ from .tensor_algebra import (
     eigh_descending,
     frobenius,
     norm,
-    poly_min,
 )
 
 # Preconditions on tangency/normality are looser than algebraic identities
@@ -217,61 +216,62 @@ def check_identities(
     base: ManifoldPoint,
     p: MaterialParams,
 ) -> dict[str, float]:
-    """Residuals of the algebraic tangent/normal identities at a base point.
+    """Residuals of the algebraic tangent/normal identities at base points.
 
+    Broadcasts over leading axes and reports the maximum over the batch.
     Diagnostic only: invalid inputs simply produce large residuals.
     """
     s = p.s_plus
     q = base.q
     xy = anticomm(x, y)
     trxy = frobenius(x, y)
+    t = trxy[..., None, None]
     p1 = q / s + I3 / 3.0
     k = frobenius(q, z) / s + np.trace(z, axis1=-2, axis2=-1) / 3.0
-    return {
-        "trace_product": float(
-            np.abs(np.trace(xy @ q, axis1=-2, axis2=-1) - (s / 3.0) * trxy)
+    xz = anticomm(x, z)
+    residuals = {
+        "trace_product": np.abs(
+            np.trace(xy @ q, axis1=-2, axis2=-1) - (s / 3.0) * trxy
         ),
-        "anticomm_product": float(
-            norm(xy @ q + (s / 3.0) * xy - trxy * q - (s / 3.0) * trxy * I3)
+        "anticomm_product": norm(
+            xy @ q + (s / 3.0) * xy - t * q - (s / 3.0) * t * I3
         ),
-        "rank_one_projector": float(norm(p1 @ z - k * p1)),
-        "tangent_pair_is_normal": float(norm(comm(xy, q))),
-        "normal_pair_is_normal": float(norm(comm(anticomm(z, z), q))),
-        "mixed_pair_is_tangent": float(
-            norm((s / 3.0) * anticomm(x, z) - anticomm(anticomm(x, z), q))
-        ),
+        "rank_one_projector": norm(p1 @ z - k[..., None, None] * p1),
+        "tangent_pair_is_normal": norm(comm(xy, q)),
+        "normal_pair_is_normal": norm(comm(anticomm(z, z), q)),
+        "mixed_pair_is_tangent": norm((s / 3.0) * xz - anticomm(xz, q)),
     }
+    return {name: float(np.max(r)) for name, r in residuals.items()}
+
+
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return a[..., :, None] * b[..., None, :]
 
 
 def tangent_basis(base: ManifoldPoint) -> tuple[np.ndarray, np.ndarray]:
-    """Two Frobenius-orthogonal tangent directions at the base point."""
+    """Two Frobenius-orthogonal tangent directions at the base point(s)."""
     n = base.director
     u, v = _orthonormal_complement(n)
-    t1 = np.outer(n, u) + np.outer(u, n)
-    t2 = np.outer(n, v) + np.outer(v, n)
-    return t1, t2
+    return _outer(n, u) + _outer(u, n), _outer(n, v) + _outer(v, n)
 
 
 def normal_basis_s0(base: ManifoldPoint) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Three traceless normal directions at the base point, mutually
+    """Three traceless normal directions at the base point(s), mutually
     Frobenius-orthogonal."""
     n = base.director
     u, v = _orthonormal_complement(n)
-    z1 = 2.0 * np.outer(n, n) - np.outer(u, u) - np.outer(v, v)
-    z2 = np.outer(u, u) - np.outer(v, v)
-    z3 = np.outer(u, v) + np.outer(v, u)
+    z1 = 2.0 * _outer(n, n) - _outer(u, u) - _outer(v, v)
+    z2 = _outer(u, u) - _outer(v, v)
+    z3 = _outer(u, v) + _outer(v, u)
     return z1, z2, z3
 
 
 def _orthonormal_complement(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    pick = np.zeros(3)
-    pick[int(np.argmin(np.abs(n)))] = 1.0
+    """Right-handed frame completion of unit vectors of shape (..., 3)."""
+    pick = np.zeros_like(n)
+    idx = np.argmin(np.abs(n), axis=-1)
+    np.put_along_axis(pick, idx[..., None], 1.0, axis=-1)
     u = np.cross(n, pick)
-    u /= np.linalg.norm(u)
+    u /= np.linalg.norm(u, axis=-1, keepdims=True)
     v = np.cross(n, u)
     return u, v
-
-
-def manifold_residual(q: np.ndarray, p: MaterialParams) -> np.ndarray:
-    """Frobenius norm of the minimal-polynomial residual (0 on the manifold)."""
-    return norm(poly_min(q, p.s_plus))

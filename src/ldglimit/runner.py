@@ -31,25 +31,20 @@ from .fields import (
     save_field_csv,
 )
 from .geometry import (
+    ManifoldPoint,
     MaterialParams,
+    check_identities,
     harmonic_rhs_array,
+    normal_basis_s0,
     normal_component,
+    normality_residual,
     project_array,
+    tangency_residual,
+    tangent_basis,
     uniaxial,
 )
 from .solvers import SolveConfig, SolveResult, solve_harmonic, solve_ldg
-from .tensor_algebra import I3, anticomm, comm, frobenius, norm, poly_min
-
-
-def _orthonormal_complement_batch(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Batched right-handed frame completion of unit vectors (..., 3)."""
-    pick = np.zeros_like(n)
-    idx = np.argmin(np.abs(n), axis=-1)
-    np.put_along_axis(pick, idx[..., None], 1.0, axis=-1)
-    u = np.cross(n, pick)
-    u /= np.linalg.norm(u, axis=-1, keepdims=True)
-    v = np.cross(n, u)
-    return u, v
+from .tensor_algebra import I3, anticomm, comm, norm, poly_min
 
 
 def geometry_identity_suite(
@@ -72,16 +67,9 @@ def geometry_identity_suite(
     n = rng.normal(size=(trials, 3))
     n /= np.linalg.norm(n, axis=-1, keepdims=True)
     q = uniaxial(n, s * s_scale)
-    u, v = _orthonormal_complement_batch(n)
-
-    def outer(a, b):
-        return a[..., :, None] * b[..., None, :]
-
-    t1 = outer(n, u) + outer(u, n)
-    t2 = outer(n, v) + outer(v, n)
-    z1 = 2.0 * outer(n, n) - outer(u, u) - outer(v, v)
-    z2 = outer(u, u) - outer(v, v)
-    z3 = outer(u, v) + outer(v, u)
+    base = ManifoldPoint(q=q, director=n)
+    t1, t2 = tangent_basis(base)
+    z1, z2, z3 = normal_basis_s0(base)
 
     cx = rng.normal(size=(trials, 2, 1, 1))
     cy = rng.normal(size=(trials, 2, 1, 1))
@@ -99,40 +87,15 @@ def geometry_identity_suite(
     out["projection_idempotent"] = float(np.max(norm(proj2 - proj)))
 
     # tangency / normality characterizations
-    out["tangency"] = float(
-        np.max(norm((s / 3.0) * x - anticomm(x, q)) / np.maximum(1.0, norm(x)))
-    )
-    out["normality"] = float(np.max(norm(comm(z, q)) / np.maximum(1.0, norm(z))))
+    out["tangency"] = float(np.max(tangency_residual(x, q, s)))
+    out["normality"] = float(np.max(normality_residual(z, q)))
 
     # splitting: tangents have zero normal part, normals are fixed
     out["split_tangent"] = float(np.max(norm(normal_component(x, q, s))))
     out["split_normal"] = float(np.max(norm(normal_component(z, q, s) - z)))
 
     # algebraic identities for tangent pairs and normal vectors
-    xy = anticomm(x, y)
-    trxy = frobenius(x, y)
-    out["trace_product"] = float(
-        np.max(np.abs(np.trace(xy @ q, axis1=-2, axis2=-1) - (s / 3.0) * trxy))
-    )
-    out["anticomm_product"] = float(
-        np.max(
-            norm(
-                xy @ q
-                + (s / 3.0) * xy
-                - trxy[..., None, None] * q
-                - (s / 3.0) * trxy[..., None, None] * I3
-            )
-        )
-    )
-    p1 = q / s + I3 / 3.0
-    k = frobenius(q, z) / s + np.trace(z, axis1=-2, axis2=-1) / 3.0
-    out["rank_one_projector"] = float(np.max(norm(p1 @ z - k[..., None, None] * p1)))
-    out["tangent_pair_is_normal"] = float(np.max(norm(comm(xy, q))))
-    out["normal_pair_is_normal"] = float(np.max(norm(comm(anticomm(z, z), q))))
-    xz = anticomm(x, z)
-    out["mixed_pair_is_tangent"] = float(
-        np.max(norm((s / 3.0) * xz - anticomm(xz, q)))
-    )
+    out.update(check_identities(x, y, z, base, p))
 
     # curvature term is normal
     ii = -(1.0 / s**2) * (anticomm(x, y) @ (2.0 * q - (s / 3.0) * I3))
@@ -285,6 +248,29 @@ def _boundary_field(cfg: ExperimentConfig, grid: GridSpec, p: MaterialParams):
     if cfg.boundary == "hedgehog":
         return boundary_hedgehog(grid, p)
     return boundary_near_constant(grid, p, cfg.eps, pattern=cfg.pattern)
+
+
+# command -> (solver, index into the L-ladder, output file).  The solver is
+# held by name and looked up in this module's namespace when the command
+# runs, so a replacement bound there (a wrapper, a test double) is called.
+SOLVE_COMMANDS = {
+    "solve-harmonic": ("solve_harmonic", 0, "q_star.csv"),
+    "solve-ldg": ("solve_ldg", -1, "q_l.csv"),
+}
+
+
+def run_solve(cfg: ExperimentConfig, command: str, log=None):
+    """One solve from the configured boundary data at one end of the
+    L-ladder; writes the field CSV and returns (result, path)."""
+    solver, rung, filename = SOLVE_COMMANDS[command]
+    os.makedirs(cfg.output_dir, exist_ok=True)
+    p = MaterialParams(cfg.a2, cfg.b2, cfg.c2, L=cfg.l_ladder[rung])
+    init = _boundary_field(cfg, _grid_of(cfg), p)
+    solve = globals()[solver]
+    res = solve(init, p, _solve_config(cfg), log=log)
+    path = os.path.join(cfg.output_dir, filename)
+    save_field_csv(res.field, path)
+    return res, path
 
 
 def run_sweep(cfg: ExperimentConfig, log=None, write: bool = True) -> SweepReport:

@@ -2,9 +2,9 @@
 bulk energy over unconstrained traceless fields, and projected gradient flow
 for the Dirichlet energy over manifold-valued fields.
 
-Both solvers freeze the boundary layer, enforce energy monotonicity by a
-halve-on-increase line search, and report the discrete Euler-Lagrange
-residual in max norm.
+Both solvers run one shared loop that freezes the boundary layer, enforces
+energy monotonicity by a halve-on-increase line search, and reports the
+discrete Euler-Lagrange residual in max norm.
 """
 
 from __future__ import annotations
@@ -71,30 +71,18 @@ def _boundary_residual(f: TensorField, s_plus: float) -> float:
     return float(np.max(norm(poly_min(f.values[mask], s_plus))))
 
 
-def solve_ldg(
-    init: TensorField, p: MaterialParams, cfg: SolveConfig, log=None
+def _monotone_flow(
+    init: TensorField, cfg: SolveConfig, dt0: float, objective, direction,
+    retract, failure: str, log,
 ) -> SolveResult:
-    """Explicit monotone gradient flow of the shifted energy divided by L.
+    """Explicit flow with halve-on-increase line search.
 
-    Stationary points satisfy the discrete Euler-Lagrange equation
-    L * lap(Q) = bulk gradient.  The recorded energy sequence is
-    non-increasing on accepted steps by construction.
+    direction(f) returns (velocity at interior nodes, residual); a step
+    retracts interior + dt * velocity and is accepted only if the objective
+    does not increase.  Stops on the residual or the relative decrement.
     """
-    s = p.s_plus
-    if _boundary_residual(init, s) > 1e-8 * max(1.0, s**2):
-        raise NonManifoldBoundary("boundary data is not on the limit manifold")
-
     f = init.copy()
-    h = f.grid.h
-    dt0 = cfg.dt_safety * min(
-        float(np.min(h)) ** 2 / 6.0, p.L / bulk_lipschitz_bound(p)
-    )
     dt = dt0
-
-    def objective(fld: TensorField) -> float:
-        # shifted energy / L, per unit cell volume kept implicit
-        return 0.5 * dirichlet_energy(fld) + bulk_energy(fld, p) / p.L
-
     e = objective(f)
     history = [e]
     residual = np.inf
@@ -102,24 +90,20 @@ def solve_ldg(
     converged = False
 
     for iterations in range(1, cfg.max_iters + 1):
-        lap = laplacian_array(f.values, h)
-        vel = lap - grad_f_bulk(f.interior, p) / p.L
-        residual = float(np.max(norm(vel)))
+        vel, residual = direction(f)
         if residual <= cfg.residual_tol:
             converged = True
             iterations -= 1
             break
         dt = min(dt0, 2.0 * dt)
         while True:
-            candidate = f.with_interior(qtensor(f.interior + dt * vel))
+            candidate = f.with_interior(retract(f.interior + dt * vel))
             e_new = objective(candidate)
             if e_new <= e:
                 break
             dt *= 0.5
             if dt < _DT_FLOOR:
-                raise StiffnessFailure(
-                    "time step underflow; bulk term too stiff for this grid"
-                )
+                raise StiffnessFailure(failure)
         decrement = e - e_new
         f, e = candidate, e_new
         history.append(e)
@@ -135,6 +119,40 @@ def solve_ldg(
         el_residual=residual,
         converged=converged,
         energy_history=np.array(history),
+    )
+
+
+def solve_ldg(
+    init: TensorField, p: MaterialParams, cfg: SolveConfig, log=None
+) -> SolveResult:
+    """Explicit monotone gradient flow of the shifted energy divided by L.
+
+    Stationary points satisfy the discrete Euler-Lagrange equation
+    L * lap(Q) = bulk gradient.  The recorded energy sequence is
+    non-increasing on accepted steps by construction.
+    """
+    s = p.s_plus
+    if _boundary_residual(init, s) > 1e-8 * max(1.0, s**2):
+        raise NonManifoldBoundary("boundary data is not on the limit manifold")
+
+    h = init.grid.h
+    dt0 = cfg.dt_safety * min(
+        float(np.min(h)) ** 2 / 6.0, p.L / bulk_lipschitz_bound(p)
+    )
+
+    def objective(fld: TensorField) -> float:
+        # shifted energy / L, per unit cell volume kept implicit
+        return 0.5 * dirichlet_energy(fld) + bulk_energy(fld, p) / p.L
+
+    def direction(fld: TensorField):
+        vel = laplacian_array(fld.values, h) - grad_f_bulk(fld.interior, p) / p.L
+        return vel, float(np.max(norm(vel)))
+
+    return _monotone_flow(
+        init, cfg, dt0, objective, direction,
+        retract=qtensor,
+        failure="time step underflow; bulk term too stiff for this grid",
+        log=log,
     )
 
 
@@ -151,50 +169,20 @@ def solve_harmonic(
             f"initial field leaves the manifold (residual {all_res:.3e})"
         )
 
-    f = init.copy()
-    h = f.grid.h
+    h = init.grid.h
     dt0 = cfg.dt_safety * float(np.min(h)) ** 2 / 6.0
-    dt = dt0
 
-    e = dirichlet_energy(f)
-    history = [e]
-    residual = np.inf
-    iterations = 0
-    converged = False
+    def direction(fld: TensorField):
+        lap = laplacian_array(fld.values, h)
+        grads = gradient_array(fld.values, h)
+        rhs = harmonic_rhs_array(fld.interior, grads, s, form="iv")
+        return lap, float(np.max(norm(lap - rhs)))
 
-    for iterations in range(1, cfg.max_iters + 1):
-        lap = laplacian_array(f.values, h)
-        grads = gradient_array(f.values, h)
-        residual = float(
-            np.max(norm(lap - harmonic_rhs_array(f.interior, grads, s, form="iv")))
-        )
-        if residual <= cfg.residual_tol:
-            converged = True
-            iterations -= 1
-            break
-        dt = min(dt0, 2.0 * dt)
-        while True:
-            stepped, _ = project_array(f.interior + dt * lap, p)
-            candidate = f.with_interior(stepped)
-            e_new = dirichlet_energy(candidate)
-            if e_new <= e:
-                break
-            dt *= 0.5
-            if dt < _DT_FLOOR:
-                raise StiffnessFailure("time step underflow in projected flow")
-        decrement = e - e_new
-        f, e = candidate, e_new
-        history.append(e)
-        _emit(log, cfg, iterations, e, residual, dt)
-        if decrement <= cfg.rel_energy_tol * max(abs(e), 1e-300):
-            converged = True
-            break
-
-    return SolveResult(
-        field=f,
-        iterations=iterations,
-        final_energy=e,
-        el_residual=residual,
-        converged=converged,
-        energy_history=np.array(history),
+    return _monotone_flow(
+        init, cfg, dt0,
+        objective=dirichlet_energy,
+        direction=direction,
+        retract=lambda m: project_array(m, p)[0],
+        failure="time step underflow in projected flow",
+        log=log,
     )

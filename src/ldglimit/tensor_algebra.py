@@ -35,11 +35,6 @@ def qtensor(m: np.ndarray) -> np.ndarray:
     return dev(sym(m))
 
 
-def mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Plain matrix product; callers symmetrize anticommutators themselves."""
-    return a @ b
-
-
 def frobenius(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Frobenius inner product tr(a^T b); for symmetric inputs tr(ab)."""
     return np.einsum("...ij,...ij->...", a, b)

@@ -1,8 +1,10 @@
-"""Configuration round-trips and command-line entry points."""
+"""Configuration round-trips, command-line entry points and the package's
+export table."""
 
 import numpy as np
 import pytest
 
+import ldglimit
 from ldglimit.cli import main
 from ldglimit.config import ExperimentConfig, load_config, parse_config
 
@@ -143,3 +145,8 @@ def test_cli_reports_domain_errors(tmp_path, capsys):
     assert main(["corrector", "--config", str(cfg_path),
                  "--out", str(tmp_path / "x")]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_every_export_resolves():
+    for name in ldglimit.__all__:
+        assert getattr(ldglimit, name) is not None, name

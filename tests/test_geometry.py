@@ -13,7 +13,6 @@ from ldglimit.geometry import (
     default_gap_tol,
     harmonic_rhs,
     harmonic_rhs_array,
-    manifold_residual,
     normal_basis_s0,
     normal_component,
     normality_residual,
@@ -62,7 +61,7 @@ def test_uniaxial_spectrum_and_membership(rng, unit_params):
     w = np.sort(np.linalg.eigvalsh(q), axis=-1)
     expected = np.array([-s / 3.0, -s / 3.0, 2.0 * s / 3.0])
     assert np.max(np.abs(w - expected)) < 1e-12
-    assert np.max(manifold_residual(q, unit_params)) < 1e-12
+    assert np.max(norm(poly_min(q, s))) < 1e-12
 
 
 def test_projection_recovers_manifold_points(rng, unit_params):
@@ -173,6 +172,14 @@ def test_bases_are_orthogonal_frames(rng, unit_params):
             assert float(tangency_residual(t, base.q, p.s_plus)) < 1e-12
         for z in (z1, z2, z3):
             assert float(normality_residual(z, base.q)) < 1e-12
+    # a batch of base points gives, point by point, the same frames
+    n = random_directors(rng, 64)
+    batch = ManifoldPoint(q=uniaxial(n, p.s_plus), director=n)
+    frames = tangent_basis(batch) + normal_basis_s0(batch)
+    for i in range(len(n)):
+        single = ManifoldPoint(q=batch.q[i], director=n[i])
+        for fb, fs in zip(frames, tangent_basis(single) + normal_basis_s0(single)):
+            assert np.array_equal(fb[i], fs)
 
 
 def test_second_fundamental_form_frame_example(unit_params):
@@ -269,6 +276,25 @@ def test_check_identities_valid_and_mutated(rng, unit_params):
     # swapping tangent and normal inputs must blow the residuals up
     bad = check_identities(z, z, x, base, p)
     assert max(bad.values()) > 1e-3
+
+    # over a batch of base points the result is the per-point maximum
+    n = random_directors(rng, 64)
+    batch = ManifoldPoint(q=uniaxial(n, s), director=n)
+    t1, t2 = tangent_basis(batch)
+    z1, z2, z3 = normal_basis_s0(batch)
+    c = rng.normal(size=(7, 64, 1, 1))
+    x = c[0] * t1 + c[1] * t2
+    y = c[2] * t1 + c[3] * t2
+    z = c[4] * z1 + c[5] * z2 + c[6] * z3
+    for args in ((x, y, z), (z, z, x)):
+        res = check_identities(*args, batch, p)
+        singles = [
+            check_identities(
+                *(a[i] for a in args), ManifoldPoint(batch.q[i], n[i]), p
+            )
+            for i in range(len(n))
+        ]
+        assert res == {k: max(r[k] for r in singles) for k in res}
 
 
 def test_poly_min_characterizes_membership(rng, unit_params):

@@ -14,7 +14,6 @@ from ldglimit.tensor_algebra import (
     eig3,
     eigh_descending,
     frobenius,
-    mat_mul,
     norm,
     poly_min,
     qtensor,
@@ -36,20 +35,6 @@ def test_sym_dev_qtensor_properties(rng):
     assert np.max(np.abs(np.trace(q, axis1=-2, axis2=-1))) < 1e-13
     # idempotent on its own range
     assert np.max(np.abs(qtensor(q) - q)) < 1e-14
-
-
-def test_mat_mul_examples(rng):
-    assert np.array_equal(mat_mul(I3, I3), I3)
-    # rank-one times rank-one
-    u = np.array([1.0, 2.0, -1.0])
-    v = np.array([0.5, 0.0, 2.0])
-    a = np.outer(u, u)
-    b = np.outer(v, v)
-    expected = (u @ v) * np.outer(u, v)
-    assert np.allclose(mat_mul(a, b), expected, atol=1e-14)
-    # associativity against numpy on a batch
-    x, y, z = rng.normal(size=(3, 50, 3, 3))
-    assert np.allclose(mat_mul(mat_mul(x, y), z), x @ (y @ z), atol=1e-12)
 
 
 def test_frobenius_componentwise_oracle(rng):
