@@ -25,11 +25,9 @@ _EXPORTS = {
     # errors
     "LdglimitError": "errors",
     "DegenerateSpectrum": "errors",
-    "NotTangent": "errors",
     "NotOnManifold": "errors",
     "GridMismatch": "errors",
     "CenterOnBoundary": "errors",
-    "ConstraintViolated": "errors",
     "NonManifoldBoundary": "errors",
     "StiffnessFailure": "errors",
     "IllConditionedT": "errors",
@@ -37,17 +35,13 @@ _EXPORTS = {
     # core types
     "MaterialParams": "geometry",
     "ManifoldPoint": "geometry",
-    "TangentNormalSplit": "geometry",
     "GridSpec": "fields",
     "TensorField": "fields",
     "SolveConfig": "solvers",
     "SolveResult": "solvers",
-    "BulkCoeffs": "bulk",
     "ExperimentConfig": "config",
     # frequently used operations
     "uniaxial": "geometry",
-    "project_to_manifold": "geometry",
-    "split_tangent_normal": "geometry",
     "second_fundamental_form": "geometry",
     "solve_ldg": "solvers",
     "solve_harmonic": "solvers",

@@ -1,21 +1,12 @@
-"""Bulk energy density, its shifted version and gradient, plus the scalar
-polynomial family whose members are comparable to squared distance from the
-limit manifold.
-"""
+"""Bulk energy density, its minimum, its shifted (nonnegative) version and
+its gradient."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import ConstraintViolated, DegenerateSpectrum
-from .geometry import MaterialParams, project_to_manifold, uniaxial
-from .tensor_algebra import I3, norm, poly_min, trace2, trace3
-
-# Margin for the strict inequality constraint of the coefficient family; the
-# source analysis gives no margin, so this threshold is our choice.
-STRICT_INEQ_MARGIN = 1e-10
+from .geometry import MaterialParams
+from .tensor_algebra import I3, trace2, trace3
 
 
 def f_bulk(q: np.ndarray, p: MaterialParams) -> np.ndarray:
@@ -50,165 +41,3 @@ def grad_f_bulk(q: np.ndarray, p: MaterialParams) -> np.ndarray:
     t2 = trace2(q)[..., None, None]
     return -p.a2 * q - p.b2 * (q @ q - t2 / 3.0 * I3) + p.c2 * t2 * q
 
-
-@dataclass(frozen=True)
-class BulkCoeffs:
-    """Coefficients of the scalar family
-    h(Q) = alpha (tr Q^2)^3 + beta s (tr Q^2)(tr Q^3) + gamma s^2 (tr Q^2)^2
-         + mu s^3 tr Q^3 + nu s^4 tr Q^2 + delta s^6.
-    """
-
-    alpha: float
-    beta: float
-    gamma: float
-    mu: float
-    nu: float
-    delta: float
-
-    def constraint_residuals(self) -> tuple[float, float, float]:
-        """(equality residual 1, equality residual 2, strict inequality value)."""
-        c1 = (
-            8.0 / 27.0 * self.alpha
-            + 4.0 / 27.0 * self.beta
-            + 4.0 / 9.0 * self.gamma
-            + 2.0 / 9.0 * self.mu
-            + 2.0 / 3.0 * self.nu
-            + self.delta
-        )
-        c2 = (
-            8.0 / 3.0 * self.alpha
-            + 10.0 / 9.0 * self.beta
-            + 8.0 / 3.0 * self.gamma
-            + self.mu
-            + 2.0 * self.nu
-        )
-        lhs = 16.0 * self.alpha + 4.0 * self.beta + 8.0 * self.gamma
-        rhs = 16.0 * self.alpha + 6.0 * self.beta + 8.0 * self.gamma + 3.0 * self.mu
-        return c1, c2, lhs**2 - rhs**2
-
-
-def h_value(q: np.ndarray, c: BulkCoeffs, p: MaterialParams) -> np.ndarray:
-    """Evaluate the scalar family member at Q."""
-    s = p.s_plus
-    t2 = trace2(q)
-    t3 = trace3(q)
-    return (
-        c.alpha * t2**3
-        + c.beta * s * t2 * t3
-        + c.gamma * s**2 * t2**2
-        + c.mu * s**3 * t3
-        + c.nu * s**4 * t2
-        + c.delta * s**6
-    )
-
-
-def minpoly_norm2_coeffs() -> BulkCoeffs:
-    """Coefficients reproducing s^2 * ||poly_min(Q)||_F^2 in the h-basis."""
-    return BulkCoeffs(
-        alpha=0.0, beta=0.0, gamma=0.5, mu=-2.0 / 3.0, nu=-1.0 / 3.0, delta=4.0 / 27.0
-    )
-
-
-def shifted_bulk_coeffs(p: MaterialParams) -> BulkCoeffs:
-    """Expansion of the shifted bulk density in the h-basis."""
-    s = p.s_plus
-    return BulkCoeffs(
-        alpha=0.0,
-        beta=0.0,
-        gamma=p.c2 / (4.0 * s**2),
-        mu=-p.b2 / (3.0 * s**3),
-        nu=-p.a2 / (2.0 * s**4),
-        delta=-f_bulk_min(p) / s**6,
-    )
-
-
-def dist_to_manifold(q: np.ndarray, p: MaterialParams) -> float:
-    """Frobenius distance to the limit manifold.
-
-    Uses the eigenframe projection; for points failing the eigen-gap
-    precondition falls back to a dense director-grid minimization (1 degree
-    resolution).
-    """
-    q = np.asarray(q, dtype=float)
-    try:
-        mp = project_to_manifold(q, p)
-        return float(norm(q - mp.q))
-    except DegenerateSpectrum:
-        return float(np.min(_director_grid_distances(q, p)))
-
-
-_DIRECTOR_GRID: np.ndarray | None = None
-
-
-def _director_grid() -> np.ndarray:
-    global _DIRECTOR_GRID
-    if _DIRECTOR_GRID is None:
-        theta = np.deg2rad(np.arange(0.5, 180.0, 1.0))
-        phi = np.deg2rad(np.arange(0.0, 360.0, 1.0))
-        t, f = np.meshgrid(theta, phi, indexing="ij")
-        _DIRECTOR_GRID = np.stack(
-            [np.sin(t) * np.cos(f), np.sin(t) * np.sin(f), np.cos(t)], axis=-1
-        ).reshape(-1, 3)
-    return _DIRECTOR_GRID
-
-
-def _director_grid_distances(q: np.ndarray, p: MaterialParams) -> np.ndarray:
-    samples = uniaxial(_director_grid(), p.s_plus)
-    return norm(samples - q)
-
-
-def distcomp_check(
-    c: BulkCoeffs,
-    p: MaterialParams,
-    samples: int,
-    rng: np.random.Generator | None = None,
-    eps: float | None = None,
-) -> dict[str, float]:
-    """Validate the coefficient family and estimate comparability constants.
-
-    Checks the two equality constraints to 1e-10 and the strict inequality to
-    STRICT_INEQ_MARGIN, then reports min/max of h(Q)/dist(Q)^2 over random Q
-    with dist(Q, manifold) < eps.
-
-    Raises ConstraintViolated on constraint failure.
-    """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    s = p.s_plus
-    if eps is None:
-        eps = 0.1 * s
-    c1, c2, ineq = c.constraint_residuals()
-    if abs(c1) > 1e-10 or abs(c2) > 1e-10:
-        raise ConstraintViolated(
-            f"equality constraint residuals ({c1:.3e}, {c2:.3e}) exceed 1e-10"
-        )
-    if ineq <= STRICT_INEQ_MARGIN:
-        raise ConstraintViolated(
-            f"strict inequality value {ineq:.3e} not above {STRICT_INEQ_MARGIN:.0e}"
-        )
-    ratios = []
-    while len(ratios) < samples:
-        n = rng.normal(size=3)
-        n /= np.linalg.norm(n)
-        perturb = rng.normal(size=(3, 3))
-        perturb = 0.5 * (perturb + perturb.T)
-        perturb -= np.trace(perturb) / 3.0 * I3
-        scale = rng.uniform(0.0, eps)
-        pert_norm = norm(perturb)
-        if pert_norm == 0:
-            continue
-        q = uniaxial(n, s) + scale * perturb / pert_norm
-        d = dist_to_manifold(q, p)
-        if d <= 1e-8 * s or d >= eps:
-            continue
-        ratios.append(float(h_value(q, c, p)) / d**2)
-    return {
-        "equality_residual_1": c1,
-        "equality_residual_2": c2,
-        "strict_inequality_value": ineq,
-        "ratio_min": float(np.min(ratios)),
-        "ratio_max": float(np.max(ratios)),
-        "samples": float(len(ratios)),
-    }

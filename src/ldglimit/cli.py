@@ -73,10 +73,14 @@ def main(argv=None) -> int:
     from .config import ExperimentConfig, load_config
     from .errors import LdglimitError
 
-    if args.config is not None:
-        cfg = load_config(args.config)
-    else:
-        cfg = ExperimentConfig()
+    try:
+        if args.config is not None:
+            cfg = load_config(args.config)
+        else:
+            cfg = ExperimentConfig()
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if getattr(args, "out", None):
         cfg.output_dir = args.out
     if getattr(args, "seed", None) is not None:

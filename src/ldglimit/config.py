@@ -1,9 +1,13 @@
 """Flat key=value experiment configuration with exact round-trip
-serialization."""
+serialization, and the grid and solver settings it describes."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+
+from .fields import GridSpec
+from .geometry import MaterialParams
+from .solvers import SolveConfig
 
 
 @dataclass
@@ -33,20 +37,18 @@ class ExperimentConfig:
         self.validate()
 
     def validate(self) -> None:
-        for name in ("a2", "b2", "c2"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        """Build the material parameters of every ladder L, the grid and the
+        solver settings, which check their own fields, then check what no
+        type owns."""
         ladder = tuple(float(v) for v in self.l_ladder)
         if len(ladder) == 0:
             raise ValueError("l_ladder must be nonempty")
-        if any(v <= 0 for v in ladder):
-            raise ValueError("l_ladder entries must be positive")
+        for L in ladder:
+            MaterialParams(self.a2, self.b2, self.c2, L=L)
         if any(nxt >= prev for prev, nxt in zip(ladder, ladder[1:])):
             raise ValueError("l_ladder must be strictly decreasing")
-        if len(self.dims) != 3 or any(d < 3 for d in self.dims):
-            raise ValueError("dims must be three integers >= 3")
-        if self.box_hi <= self.box_lo:
-            raise ValueError("box_hi must exceed box_lo")
+        self.grid()
+        self.solve_config()
         if self.boundary not in ("near_constant", "hedgehog"):
             raise ValueError(f"unknown boundary {self.boundary!r}")
         if self.eps < 0:
@@ -58,6 +60,21 @@ class ExperimentConfig:
             raise ValueError("margin must be 0 or at least two node spacings")
         if self.margin >= (self.box_hi - self.box_lo) / 2.0:
             raise ValueError("margin must be below half the box width")
+
+    def grid(self) -> GridSpec:
+        """The cubic box [box_lo, box_hi]^3 with dims interior nodes."""
+        box = ((self.box_lo, self.box_hi),) * 3
+        return GridSpec(dims=tuple(self.dims), box=box)
+
+    def solve_config(self) -> SolveConfig:
+        """The gradient-flow settings every solve of the run uses."""
+        return SolveConfig(
+            dt_safety=self.dt_safety,
+            max_iters=self.max_iters,
+            rel_energy_tol=self.rel_energy_tol,
+            residual_tol=self.residual_tol,
+            log_every=self.log_every,
+        )
 
     def serialize(self) -> str:
         """One key=value pair per line, in field order."""
@@ -82,17 +99,13 @@ def _fmt(v) -> str:
     return str(v)
 
 
-_FLOAT_KEYS = {
-    "a2", "b2", "c2", "box_lo", "box_hi", "eps", "dt_safety",
-    "rel_energy_tol", "residual_tol", "margin",
-}
-_INT_KEYS = {"max_iters", "log_every", "seed"}
-_STR_KEYS = {"boundary", "pattern", "output_dir"}
-
-
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse serialized key=value lines; unknown keys raise ValueError."""
-    known = {f.name for f in fields(ExperimentConfig)}
+    """Parse serialized key=value lines; unknown keys raise ValueError.
+
+    Each value takes the type of its field's default; the entries of a
+    tuple take the type of the default's first entry.
+    """
+    defaults = {f.name: f.default for f in fields(ExperimentConfig)}
     kwargs = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -101,20 +114,18 @@ def parse_config(text: str) -> ExperimentConfig:
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected key=value, got {raw!r}")
         key, val = (part.strip() for part in line.split("=", 1))
-        if key not in known:
+        if key not in defaults:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
         if key in kwargs:
             raise ValueError(f"line {lineno}: duplicate key {key!r}")
-        if key in _FLOAT_KEYS:
-            kwargs[key] = float(val)
-        elif key in _INT_KEYS:
-            kwargs[key] = int(val)
-        elif key in _STR_KEYS:
-            kwargs[key] = val
-        elif key == "l_ladder":
-            kwargs[key] = tuple(float(x) for x in val.split(","))
-        elif key == "dims":
-            kwargs[key] = tuple(int(x) for x in val.split(","))
+        default = defaults[key]
+        try:
+            if isinstance(default, tuple):
+                kwargs[key] = tuple(type(default[0])(x) for x in val.split(","))
+            else:
+                kwargs[key] = type(default)(val)
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {key}: {exc}") from None
     return ExperimentConfig(**kwargs)
 
 

@@ -9,10 +9,6 @@ class DegenerateSpectrum(LdglimitError):
     """Top eigenvalue gap too small for a well-defined manifold projection."""
 
 
-class NotTangent(LdglimitError):
-    """Input expected to be tangent at the given base point is not."""
-
-
 class NotOnManifold(LdglimitError):
     """Input expected to lie on the uniaxial manifold does not."""
 
@@ -23,10 +19,6 @@ class GridMismatch(LdglimitError):
 
 class CenterOnBoundary(LdglimitError):
     """A lattice node coincides with the radial-profile center."""
-
-
-class ConstraintViolated(LdglimitError):
-    """Coefficient family fails its algebraic admissibility constraints."""
 
 
 class NonManifoldBoundary(LdglimitError):

@@ -33,7 +33,7 @@ class GridSpec:
 
     def __post_init__(self):
         if len(self.dims) != 3 or any(d < 3 for d in self.dims):
-            raise ValueError("need at least 3 interior points per axis")
+            raise ValueError("dims must be three integers >= 3")
         if any(hi <= lo for lo, hi in self.box):
             raise ValueError("box bounds must be increasing")
 

@@ -1,28 +1,17 @@
 """Geometry of the uniaxial limit manifold inside the traceless symmetric
-matrices: membership, nearest-point projection, tangent/normal splitting,
-second fundamental form, and the equivalent harmonic-map right-hand sides.
+matrices: membership, the batched nearest-point projection, the normal part
+of the tangent/normal splitting, second fundamental form, and the equivalent
+harmonic-map right-hand sides.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSpectrum, NotTangent
-from .tensor_algebra import (
-    I3,
-    anticomm,
-    comm,
-    eig3,
-    eigh_descending,
-    frobenius,
-    norm,
-)
-
-# Preconditions on tangency/normality are looser than algebraic identities
-# because inputs often come from finite-difference fields.
-TANGENT_TOL = 1e-8
+from .errors import DegenerateSpectrum
+from .tensor_algebra import I3, anticomm, comm, eigh_descending, frobenius, norm
 
 
 @dataclass(frozen=True)
@@ -58,15 +47,6 @@ class ManifoldPoint:
     director: np.ndarray
 
 
-@dataclass
-class TangentNormalSplit:
-    """Unique decomposition of a symmetric matrix at a base point."""
-
-    tangential: np.ndarray
-    normal: np.ndarray
-    base: ManifoldPoint = field(repr=False)
-
-
 def uniaxial(director: np.ndarray, s_plus: float) -> np.ndarray:
     """s_+ (n (x) n - I/3) for unit director(s) n of shape (..., 3)."""
     n = np.asarray(director, dtype=float)
@@ -79,29 +59,10 @@ def default_gap_tol(p: MaterialParams) -> float:
     return 0.1 * p.s_plus
 
 
-def project_to_manifold(
-    q: np.ndarray, p: MaterialParams, gap_tol: float | None = None
-) -> ManifoldPoint:
-    """Nearest point of the limit manifold, realized via the top eigenvector.
-
-    Raises DegenerateSpectrum when the top eigenvalue gap is below gap_tol.
-    """
-    if gap_tol is None:
-        gap_tol = default_gap_tol(p)
-    dec = eig3(np.asarray(q, dtype=float))
-    gap = dec.eigenvalues[0] - dec.eigenvalues[1]
-    if gap < gap_tol:
-        raise DegenerateSpectrum(
-            f"top eigenvalue gap {gap:.3e} below tolerance {gap_tol:.3e}"
-        )
-    n = dec.eigenvectors[:, 0]
-    return ManifoldPoint(q=uniaxial(n, p.s_plus), director=n)
-
-
 def project_array(
     q: np.ndarray, p: MaterialParams, gap_tol: float | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Batched nearest-point projection.
+    """Nearest-point projection of tensors of shape (..., 3, 3).
 
     Returns (projected tensors, directors).  Raises DegenerateSpectrum if any
     entry fails the eigen-gap precondition.
@@ -140,24 +101,13 @@ def normality_residual(z: np.ndarray, q: np.ndarray) -> np.ndarray:
     return norm(comm(z, q)) / np.maximum(1.0, norm(z))
 
 
-def split_tangent_normal(
-    a: np.ndarray, base: ManifoldPoint, p: MaterialParams
-) -> TangentNormalSplit:
-    """Unique tangential + normal decomposition at a base point."""
-    n = normal_component(np.asarray(a, dtype=float), base.q, p.s_plus)
-    return TangentNormalSplit(tangential=a - n, normal=n, base=base)
-
-
 def second_fundamental_form(
-    x: np.ndarray, y: np.ndarray, base: ManifoldPoint, p: MaterialParams
+    x: np.ndarray, y: np.ndarray, q: np.ndarray, s_plus: float
 ) -> np.ndarray:
-    """II(X, Y) = -(1/s_+^2) (XY + YX)(2Q - (s_+/3) I) at the base point."""
-    s = p.s_plus
-    for name, v in (("x", x), ("y", y)):
-        res = float(tangency_residual(v, base.q, s))
-        if res > TANGENT_TOL:
-            raise NotTangent(f"{name} is not tangent (residual {res:.3e})")
-    return -(1.0 / s**2) * (anticomm(x, y) @ (2.0 * base.q - (s / 3.0) * I3))
+    """II(X, Y) = -(1/s_+^2) (XY + YX)(2Q - (s_+/3) I) at manifold points q,
+    batched.  X and Y must be tangent at q; that is not checked."""
+    s = s_plus
+    return -(1.0 / s**2) * (anticomm(x, y) @ (2.0 * q - (s / 3.0) * I3))
 
 
 def grad_squared(grads) -> np.ndarray:
@@ -189,24 +139,6 @@ def harmonic_rhs_array(
     if form == "iv":
         return -(4.0 / s_plus**2) * ((q - (s_plus / 6.0) * I3) @ gsq)
     raise ValueError(f"unknown form {form!r}")
-
-
-def harmonic_rhs(
-    base: ManifoldPoint, grads, p: MaterialParams, form: str = "iv"
-) -> np.ndarray:
-    """Explicit harmonic-map right-hand side at a certified base point.
-
-    `grads` is the triple of directional derivatives, each tangential at the
-    base within TANGENT_TOL.
-    """
-    s = p.s_plus
-    for alpha, g in enumerate(grads):
-        res = float(tangency_residual(g, base.q, s))
-        if res > TANGENT_TOL:
-            raise NotTangent(
-                f"gradient component {alpha} is not tangent (residual {res:.3e})"
-            )
-    return harmonic_rhs_array(base.q, np.asarray(grads), s, form=form)
 
 
 def check_identities(

@@ -39,12 +39,13 @@ from .geometry import (
     normal_component,
     normality_residual,
     project_array,
+    second_fundamental_form,
     tangency_residual,
     tangent_basis,
     uniaxial,
 )
-from .solvers import SolveConfig, SolveResult, solve_harmonic, solve_ldg
-from .tensor_algebra import I3, anticomm, comm, norm, poly_min
+from .solvers import SolveResult, solve_harmonic, solve_ldg
+from .tensor_algebra import I3, comm, norm, poly_min
 
 
 def geometry_identity_suite(
@@ -98,7 +99,7 @@ def geometry_identity_suite(
     out.update(check_identities(x, y, z, base, p))
 
     # curvature term is normal
-    ii = -(1.0 / s**2) * (anticomm(x, y) @ (2.0 * q - (s / 3.0) * I3))
+    ii = second_fundamental_form(x, y, q, s)
     out["curvature_is_normal"] = float(np.max(norm(comm(ii, q))))
 
     # closed-form curvature vs centered second difference of the projected
@@ -108,7 +109,7 @@ def geometry_identity_suite(
     qp, _ = project_array(q + t * xhat, p)
     qm, _ = project_array(q - t * xhat, p)
     ii_fd = (qp - 2.0 * uniaxial(n, s) + qm) / t**2
-    ii_xx = -(2.0 / s**2) * ((xhat @ xhat) @ (2.0 * q - (s / 3.0) * I3))
+    ii_xx = second_fundamental_form(xhat, xhat, q, s)
     out["curvature_fd"] = float(np.max(norm(ii_xx - ii_fd)))
 
     # the harmonic right-hand-side forms coincide for tangential gradients
@@ -166,7 +167,7 @@ def run_corrector(
     interior deviation of the empirical normal part from the closed-form
     corrector.
     """
-    grid = _grid_of(cfg)
+    grid = cfg.grid()
     p = MaterialParams(cfg.a2, cfg.b2, cfg.c2, L=cfg.l_ladder[0])
     if cfg.boundary == "hedgehog":
         width = cfg.box_hi - cfg.box_lo
@@ -229,21 +230,6 @@ class SweepReport:
     results_by_l: dict = field(default_factory=dict)
 
 
-def _grid_of(cfg: ExperimentConfig) -> GridSpec:
-    box = ((cfg.box_lo, cfg.box_hi),) * 3
-    return GridSpec(dims=tuple(cfg.dims), box=box)
-
-
-def _solve_config(cfg: ExperimentConfig) -> SolveConfig:
-    return SolveConfig(
-        dt_safety=cfg.dt_safety,
-        max_iters=cfg.max_iters,
-        rel_energy_tol=cfg.rel_energy_tol,
-        residual_tol=cfg.residual_tol,
-        log_every=cfg.log_every,
-    )
-
-
 def _boundary_field(cfg: ExperimentConfig, grid: GridSpec, p: MaterialParams):
     if cfg.boundary == "hedgehog":
         return boundary_hedgehog(grid, p)
@@ -265,9 +251,9 @@ def run_solve(cfg: ExperimentConfig, command: str, log=None):
     solver, rung, filename = SOLVE_COMMANDS[command]
     os.makedirs(cfg.output_dir, exist_ok=True)
     p = MaterialParams(cfg.a2, cfg.b2, cfg.c2, L=cfg.l_ladder[rung])
-    init = _boundary_field(cfg, _grid_of(cfg), p)
+    init = _boundary_field(cfg, cfg.grid(), p)
     solve = globals()[solver]
-    res = solve(init, p, _solve_config(cfg), log=log)
+    res = solve(init, p, cfg.solve_config(), log=log)
     path = os.path.join(cfg.output_dir, filename)
     save_field_csv(res.field, path)
     return res, path
@@ -276,8 +262,8 @@ def run_solve(cfg: ExperimentConfig, command: str, log=None):
 def run_sweep(cfg: ExperimentConfig, log=None, write: bool = True) -> SweepReport:
     """Solve the harmonic limit once, then descend the L-ladder with warm
     starts; report errors, diagnostics and fitted convergence rates."""
-    grid = _grid_of(cfg)
-    scfg = _solve_config(cfg)
+    grid = cfg.grid()
+    scfg = cfg.solve_config()
     mask = interior_margin_mask(grid, cfg.margin)
 
     p0 = MaterialParams(cfg.a2, cfg.b2, cfg.c2, L=cfg.l_ladder[0])

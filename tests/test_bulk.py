@@ -1,24 +1,12 @@
-"""Bulk density, its gradient, and the scalar polynomial family comparable
-to squared manifold distance."""
+"""Bulk density, its gradient, and the comparability of the shifted
+density with squared distance to the limit manifold."""
 
 import numpy as np
 import pytest
 
-from ldglimit.bulk import (
-    BulkCoeffs,
-    dist_to_manifold,
-    distcomp_check,
-    f_bulk,
-    f_bulk_min,
-    f_bulk_shifted,
-    grad_f_bulk,
-    h_value,
-    minpoly_norm2_coeffs,
-    shifted_bulk_coeffs,
-)
-from ldglimit.errors import ConstraintViolated
-from ldglimit.geometry import MaterialParams, uniaxial
-from ldglimit.tensor_algebra import I3, norm, poly_min, qtensor
+from ldglimit.bulk import f_bulk, f_bulk_min, f_bulk_shifted, grad_f_bulk
+from ldglimit.geometry import project_array, uniaxial
+from ldglimit.tensor_algebra import norm, qtensor
 from conftest import random_directors, random_qtensors
 
 
@@ -95,64 +83,21 @@ def test_grad_f_bulk_finite_difference(rng, unit_params):
     assert worst <= 1e-6
 
 
-def test_h_basis_reproduces_minpoly_norm(rng, unit_params):
+def test_f_bulk_shifted_comparable_to_squared_distance(rng, unit_params):
+    """Near the manifold the shifted density is bounded above and below by
+    multiples of the squared distance to it."""
     p = unit_params
     s = p.s_plus
-    c = minpoly_norm2_coeffs()
-    q = random_qtensors(rng, 500, scale=2.0)
-    lhs = h_value(q, c, p)
-    rhs = s**2 * norm(poly_min(q, s)) ** 2
-    assert np.max(np.abs(lhs - rhs)) < 1e-10 * np.max(np.abs(rhs) + 1.0)
-
-
-def test_h_basis_reproduces_shifted_bulk(rng, unit_params):
-    p = unit_params
-    c = shifted_bulk_coeffs(p)
-    q = random_qtensors(rng, 500, scale=2.0)
-    assert np.max(np.abs(h_value(q, c, p) - f_bulk_shifted(q, p))) < 1e-10
-
-
-@pytest.mark.parametrize("coeffs_of", [minpoly_norm2_coeffs, lambda: shifted_bulk_coeffs(MaterialParams(1.0, 1.0, 1.0))])
-def test_constraint_residuals_of_valid_families(coeffs_of):
-    c1, c2, ineq = coeffs_of().constraint_residuals()
-    assert abs(c1) < 1e-12
-    assert abs(c2) < 1e-12
-    assert ineq > 1e-10
-
-
-def test_distcomp_check_accepts_valid_families(unit_params):
-    for c in (minpoly_norm2_coeffs(), shifted_bulk_coeffs(unit_params)):
-        out = distcomp_check(c, unit_params, samples=200,
-                             rng=np.random.default_rng(7))
-        assert out["samples"] == 200
-        assert 0.0 < out["ratio_min"] <= out["ratio_max"]
-        # comparability: bounded spread of h / dist^2 near the manifold
-        assert out["ratio_max"] / out["ratio_min"] < 100.0
-
-
-def test_distcomp_check_rejects_invalid_coeffs(unit_params):
-    with pytest.raises(ConstraintViolated):
-        distcomp_check(BulkCoeffs(0, 0, 0, 0, 0, 0), unit_params, samples=10)
-    with pytest.raises(ConstraintViolated):
-        # equality constraints hold but the strict inequality fails
-        # (beta = mu = 0 forces the inequality value to zero)
-        distcomp_check(BulkCoeffs(1.0, 0.0, 0.0, 0.0, -4.0 / 3.0, 16.0 / 27.0),
-                       unit_params, samples=10)
-    with pytest.raises(ValueError):
-        distcomp_check(minpoly_norm2_coeffs(), unit_params, samples=0)
-
-
-def test_dist_to_manifold(rng, unit_params):
-    p = unit_params
-    s = p.s_plus
-    n = random_directors(rng, 20)
-    q = uniaxial(n, s)
-    for qi in q:
-        assert dist_to_manifold(qi, p) < 1e-10
-    # normal perturbation of known size along the base direction
-    q0 = uniaxial(np.array([0.0, 0.0, 1.0]), s)
-    d = dist_to_manifold(q0 * (1.0 + 0.05), p)
-    assert d == pytest.approx(0.05 * norm(q0), rel=1e-6)
-    # degenerate point falls back to the director-grid search
-    d0 = dist_to_manifold(np.zeros((3, 3)), p)
-    assert d0 == pytest.approx(float(norm(q0)), rel=1e-3)
+    pert = qtensor(rng.normal(size=(2000, 3, 3)))
+    radius = s * rng.uniform(1e-3, 0.1, size=2000)
+    q = uniaxial(random_directors(rng, 2000), s) + (radius / norm(pert))[
+        :, None, None
+    ] * pert
+    proj, _ = project_array(q, p)
+    dist = norm(q - proj)
+    # the perturbation bounds the distance from above, and its normal part
+    # keeps it well away from zero
+    assert np.all((dist > 1e-4 * s) & (dist <= radius * (1.0 + 1e-12)))
+    ratio = f_bulk_shifted(q, p) / dist**2
+    assert ratio.min() > 0.0
+    assert ratio.max() / ratio.min() < 100.0

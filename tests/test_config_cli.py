@@ -1,5 +1,9 @@
-"""Configuration round-trips, command-line entry points and the package's
-export table."""
+"""Configuration round-trips, command-line entry points, the package's
+export table and the names the benchmark traces."""
+
+import importlib.util
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -53,6 +57,8 @@ def test_parse_accepts_comments_and_blanks():
         "voltage=3\n",            # unknown key
         "a2=1.0\na2=2.0\n",       # duplicate key
         "a2 1.0\n",               # missing separator
+        "max_iters=1.5\n",        # not an integer
+        "dims=8,8,x\n",           # tuple entry of the wrong type
     ],
 )
 def test_parse_rejects_bad_lines(text):
@@ -75,6 +81,8 @@ def test_parse_rejects_bad_lines(text):
         dict(margin=-1.0),
         dict(margin=10.0),                  # >= half box width (default box 8)
         dict(margin=0.1),                   # positive but below 2h
+        dict(dt_safety=1.5),
+        dict(max_iters=0),
     ],
 )
 def test_config_validation_errors(overrides):
@@ -93,6 +101,21 @@ def test_cli_check_geometry_pass_and_fail(capsys):
 
 def test_cli_threads_validation(capsys):
     assert main(["--threads", "0", "check-geometry"]) == 2
+
+
+@pytest.mark.parametrize("line", ["a2=0", "dt_safety=1.5", "dims=8,8"])
+def test_cli_rejects_bad_config(tmp_path, capsys, line):
+    """A config file the types reject is a bad argument: exit 2 with a
+    one-line error, before any output directory is made."""
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text(line + "\n")
+    out = tmp_path / "out"
+    for command in ("check-geometry", "solve-ldg"):
+        argv = [command, "--config", str(cfg_path), "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+    assert main(["check-geometry", "--config", str(tmp_path / "missing.cfg")]) == 2
 
 
 def test_cli_solve_harmonic_and_ldg(tmp_path, capsys):
@@ -150,3 +173,18 @@ def test_cli_reports_domain_errors(tmp_path, capsys):
 def test_every_export_resolves():
     for name in ldglimit.__all__:
         assert getattr(ldglimit, name) is not None, name
+
+
+def test_benchmark_traced_names_resolve(monkeypatch):
+    """Every module.function the benchmark traces exists in the package, so
+    renaming or deleting one shows here and not only in a traced run."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    # dataclasses looks the defining module up while building its classes
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    assert workloads.TRACED
+    for name in workloads.TRACED:
+        module, function = name.split(".")
+        assert callable(getattr(getattr(ldglimit, module), function, None)), name

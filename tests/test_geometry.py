@@ -1,30 +1,27 @@
 """Limit-manifold geometry: projection, tangent/normal splitting, curvature,
 and the equivalent harmonic right-hand sides, each against an independent
-oracle."""
+oracle or its definition."""
 
 import numpy as np
 import pytest
 
-from ldglimit.errors import DegenerateSpectrum, NotTangent
+from ldglimit.errors import DegenerateSpectrum
 from ldglimit.geometry import (
     ManifoldPoint,
     MaterialParams,
     check_identities,
     default_gap_tol,
-    harmonic_rhs,
     harmonic_rhs_array,
     normal_basis_s0,
     normal_component,
     normality_residual,
     project_array,
-    project_to_manifold,
     second_fundamental_form,
-    split_tangent_normal,
     tangency_residual,
     tangent_basis,
     uniaxial,
 )
-from ldglimit.tensor_algebra import I3, comm, frobenius, norm, poly_min
+from ldglimit.tensor_algebra import I3, comm, frobenius, norm, poly_min, qtensor
 from conftest import random_directors
 
 E1, E2, E3 = np.eye(3)
@@ -66,12 +63,15 @@ def test_uniaxial_spectrum_and_membership(rng, unit_params):
 
 def test_projection_recovers_manifold_points(rng, unit_params):
     s = unit_params.s_plus
-    for n in random_directors(rng, 50):
-        q = uniaxial(n, s)
-        mp = project_to_manifold(q, unit_params)
-        assert np.max(np.abs(mp.q - q)) < 1e-10
-        # director defined up to sign
-        assert min(np.linalg.norm(mp.director - n), np.linalg.norm(mp.director + n)) < 1e-8
+    n = random_directors(rng, 50)
+    q = uniaxial(n, s)
+    proj, director = project_array(q, unit_params)
+    assert np.max(np.abs(proj - q)) < 1e-10
+    # director defined up to sign
+    err = np.minimum(
+        np.linalg.norm(director - n, axis=-1), np.linalg.norm(director + n, axis=-1)
+    )
+    assert np.max(err) < 1e-8
 
 
 def test_projection_is_nearest_point(rng, unit_params):
@@ -79,69 +79,51 @@ def test_projection_is_nearest_point(rng, unit_params):
     projection (up to sampling resolution)."""
     s = unit_params.s_plus
     samples = uniaxial(random_directors(rng, 20000), s)
-    for _ in range(10):
-        n = random_directors(rng, 1)[0]
-        pert = rng.normal(size=(3, 3))
-        pert = 0.5 * (pert + pert.T)
-        pert -= np.trace(pert) / 3.0 * I3
-        q = uniaxial(n, s) + 0.05 * s * pert / norm(pert)
-        mp = project_to_manifold(q, unit_params)
-        d_proj = float(norm(q - mp.q))
-        d_brute = float(np.min(norm(samples - q)))
-        assert d_proj <= d_brute + 1e-6
+    pert = qtensor(rng.normal(size=(50, 3, 3)))
+    q = uniaxial(random_directors(rng, 50), s) + 0.05 * s * pert / norm(pert)[
+        ..., None, None
+    ]
+    proj, _ = project_array(q, unit_params)
+    d_proj = norm(q - proj)
+    for qi, di in zip(q, d_proj):
+        assert di <= float(np.min(norm(samples - qi))) + 1e-6
 
 
-def test_projection_degenerate_spectrum(unit_params):
+def test_projection_degenerate_spectrum(rng, unit_params):
     with pytest.raises(DegenerateSpectrum):
-        project_to_manifold(np.zeros((3, 3)), unit_params)
+        project_array(np.zeros((3, 3)), unit_params)
+    # one degenerate entry fails the whole batch
+    q = uniaxial(random_directors(rng, 4), unit_params.s_plus)
+    q[2] = 0.0
+    with pytest.raises(DegenerateSpectrum):
+        project_array(q, unit_params)
     assert default_gap_tol(unit_params) == pytest.approx(0.15)
-
-
-def test_project_array_matches_scalar(rng, unit_params):
-    s = unit_params.s_plus
-    n = random_directors(rng, 30)
-    q = uniaxial(n, s) + 0.02 * s * np.broadcast_to(
-        np.diag([1.0, -0.5, -0.5]), (30, 3, 3)
-    )
-    batch_q, batch_n = project_array(q, unit_params)
-    for i in range(30):
-        mp = project_to_manifold(q[i], unit_params)
-        assert np.max(np.abs(batch_q[i] - mp.q)) < 1e-9
-    with pytest.raises(DegenerateSpectrum):
-        project_array(np.zeros((4, 3, 3)), unit_params)
 
 
 def test_split_examples(rng, unit_params):
     p = unit_params
     s = p.s_plus
     base = base_point([0.0, 0.0, 1.0], p)
-    # the base point itself commutes with itself: purely normal
-    sp = split_tangent_normal(base.q, base, p)
-    assert np.max(np.abs(sp.tangential)) < 1e-12
-    assert np.max(np.abs(sp.normal - base.q)) < 1e-12
-    # the identity commutes with everything: purely normal
-    sp = split_tangent_normal(I3, base, p)
-    assert np.max(np.abs(sp.tangential)) < 1e-12
-    assert np.max(np.abs(sp.normal - I3)) < 1e-12
+    # the base point and the identity commute with the base point: purely
+    # normal
+    for a in (base.q, I3):
+        assert np.max(np.abs(normal_component(a, base.q, s) - a)) < 1e-12
     # a tangent frame vector is purely tangential
-    t1, t2 = tangent_basis(base)
-    for t in (t1, t2):
-        sp = split_tangent_normal(t, base, p)
-        assert np.max(np.abs(sp.normal)) < 1e-12
-        assert np.max(np.abs(sp.tangential - t)) < 1e-12
+    for t in tangent_basis(base):
+        assert np.max(np.abs(normal_component(t, base.q, s))) < 1e-12
 
 
 def test_split_is_direct_sum(rng, unit_params):
+    """a - N(a) is tangent and N(a) is normal, so the two parts split a."""
     p = unit_params
     s = p.s_plus
-    for n in random_directors(rng, 30):
-        base = base_point(n, p)
-        a = rng.normal(size=(3, 3))
-        a = 0.5 * (a + a.T)
-        sp = split_tangent_normal(a, base, p)
-        assert np.max(np.abs(sp.tangential + sp.normal - a)) < 1e-12
-        assert float(tangency_residual(sp.tangential, base.q, s)) < 1e-10
-        assert float(normality_residual(sp.normal, base.q)) < 1e-10
+    n = random_directors(rng, 30)
+    q = uniaxial(n, s)
+    a = rng.normal(size=(30, 3, 3))
+    a = 0.5 * (a + np.swapaxes(a, -1, -2))
+    normal = normal_component(a, q, s)
+    assert np.max(tangency_residual(a - normal, q, s)) < 1e-10
+    assert np.max(normality_residual(normal, q)) < 1e-10
 
 
 def test_normal_component_fixes_normals(rng, unit_params):
@@ -189,26 +171,25 @@ def test_second_fundamental_form_frame_example(unit_params):
     s = p.s_plus
     base = base_point([1.0, 0.0, 0.0], p)
     v1 = s * (np.outer(E1, E2) + np.outer(E2, E1))
-    ii = second_fundamental_form(v1, v1, base, p)
+    ii = second_fundamental_form(v1, v1, base.q, s)
     assert np.allclose(ii, 2.0 * s * np.diag([-1.0, 1.0, 0.0]), atol=1e-12)
 
 
 def test_second_fundamental_form_properties(rng, unit_params):
     p = unit_params
     s = p.s_plus
-    for n in random_directors(rng, 10):
-        base = base_point(n, p)
-        t1, t2 = tangent_basis(base)
-        x = rng.normal() * t1 + rng.normal() * t2
-        y = rng.normal() * t1 + rng.normal() * t2
-        ii_xy = second_fundamental_form(x, y, base, p)
-        ii_yx = second_fundamental_form(y, x, base, p)
-        assert np.max(np.abs(ii_xy - ii_yx)) < 1e-12
-        # bilinear and normal-valued
-        assert np.max(np.abs(second_fundamental_form(x, np.zeros((3, 3)), base, p))) == 0.0
-        assert np.max(np.abs(comm(ii_xy, base.q))) < 1e-11
-    with pytest.raises(NotTangent):
-        second_fundamental_form(I3, t1, base, p)
+    n = random_directors(rng, 10)
+    base = ManifoldPoint(q=uniaxial(n, s), director=n)
+    t1, t2 = tangent_basis(base)
+    c = rng.normal(size=(4, 10, 1, 1))
+    x = c[0] * t1 + c[1] * t2
+    y = c[2] * t1 + c[3] * t2
+    ii_xy = second_fundamental_form(x, y, base.q, s)
+    ii_yx = second_fundamental_form(y, x, base.q, s)
+    assert np.max(np.abs(ii_xy - ii_yx)) < 1e-12
+    # bilinear and normal-valued
+    assert np.max(np.abs(second_fundamental_form(x, np.zeros_like(x), base.q, s))) == 0.0
+    assert np.max(np.abs(comm(ii_xy, base.q))) < 1e-11
 
 
 def test_second_fundamental_form_curve_oracle(rng, unit_params):
@@ -217,16 +198,16 @@ def test_second_fundamental_form_curve_oracle(rng, unit_params):
     p = unit_params
     s = p.s_plus
     t = 1e-3
-    for n in random_directors(rng, 5):
-        base = base_point(n, p)
-        t1, t2 = tangent_basis(base)
-        x = rng.normal() * t1 + rng.normal() * t2
-        x = x / norm(x)
-        qp = project_to_manifold(base.q + t * x, p).q
-        qm = project_to_manifold(base.q - t * x, p).q
-        fd = (qp - 2.0 * base.q + qm) / t**2
-        ii = -(2.0 / s**2) * ((x @ x) @ (2.0 * base.q - (s / 3.0) * I3))
-        assert np.max(np.abs(ii - fd)) < 1e-4
+    n = random_directors(rng, 5)
+    base = ManifoldPoint(q=uniaxial(n, s), director=n)
+    t1, t2 = tangent_basis(base)
+    c = rng.normal(size=(2, 5, 1, 1))
+    x = c[0] * t1 + c[1] * t2
+    x = x / norm(x)[..., None, None]
+    qp, _ = project_array(base.q + t * x, p)
+    qm, _ = project_array(base.q - t * x, p)
+    fd = (qp - 2.0 * base.q + qm) / t**2
+    assert np.max(np.abs(second_fundamental_form(x, x, base.q, s) - fd)) < 1e-4
 
 
 def test_harmonic_rhs_forms_agree_on_tangents(rng, unit_params):
@@ -235,21 +216,18 @@ def test_harmonic_rhs_forms_agree_on_tangents(rng, unit_params):
     for n in random_directors(rng, 20):
         base = base_point(n, p)
         t1, t2 = tangent_basis(base)
-        grads = [
+        grads = np.stack([
             rng.normal() * t1 + rng.normal() * t2,
             rng.normal() * t1 + rng.normal() * t2,
             rng.normal() * t1 + rng.normal() * t2,
-        ]
-        r2 = harmonic_rhs(base, grads, p, form="ii")
-        r3 = harmonic_rhs(base, grads, p, form="iii")
-        r4 = harmonic_rhs(base, grads, p, form="iv")
+        ])
+        r2 = harmonic_rhs_array(base.q, grads, s, form="ii")
+        r3 = harmonic_rhs_array(base.q, grads, s, form="iii")
+        r4 = harmonic_rhs_array(base.q, grads, s, form="iv")
         assert np.max(np.abs(r2 - r4)) < 1e-10
         assert np.max(np.abs(r3 - r4)) < 1e-10
     # zero gradients give zero
-    zero = [np.zeros((3, 3))] * 3
-    assert np.max(np.abs(harmonic_rhs(base, zero, p))) == 0.0
-    with pytest.raises(NotTangent):
-        harmonic_rhs(base, [I3, I3, I3], p)
+    assert np.max(np.abs(harmonic_rhs_array(base.q, np.zeros((3, 3, 3)), s))) == 0.0
     with pytest.raises(ValueError):
         harmonic_rhs_array(base.q, np.zeros((3, 3, 3)), s, form="v")
 

@@ -1,5 +1,5 @@
 """Symmetric traceless 3x3 algebra: projections, invariants, the minimal
-polynomial, and the closed-form eigendecomposition against independent
+polynomial, and the batched eigendecomposition against independent
 oracles."""
 
 import numpy as np
@@ -7,11 +7,9 @@ import pytest
 
 from ldglimit.tensor_algebra import (
     I3,
-    EigenDecomp,
     anticomm,
     comm,
     dev,
-    eig3,
     eigh_descending,
     frobenius,
     norm,
@@ -88,52 +86,15 @@ def test_poly_min_nonzero_off_manifold(rng):
     assert np.min(norm(poly_min(q, s))) > 1e-3
 
 
-def test_eig3_diagonal_and_zero():
-    d = eig3(np.diag([3.0, -1.0, 7.0]))
-    assert isinstance(d, EigenDecomp)
-    assert np.allclose(d.eigenvalues, [7.0, 3.0, -1.0], atol=1e-13)
-    rec = d.eigenvectors @ np.diag(d.eigenvalues) @ d.eigenvectors.T
-    assert np.allclose(rec, np.diag([3.0, -1.0, 7.0]), atol=1e-12)
-
-    z = eig3(np.zeros((3, 3)))
-    assert np.allclose(z.eigenvalues, 0.0)
-    assert np.allclose(z.eigenvectors @ z.eigenvectors.T, I3, atol=1e-13)
-
-
-def test_eig3_characteristic_polynomial_oracle(rng):
-    # each eigenvalue must be a root of det(q - lam I)
-    for _ in range(200):
-        q = sym(rng.uniform(-10.0, 10.0, size=(3, 3)))
-        d = eig3(q)
-        scale = max(1.0, float(np.max(np.abs(d.eigenvalues)))) ** 3
-        for lam in d.eigenvalues:
-            assert abs(np.linalg.det(q - lam * I3)) < 1e-10 * scale
-
-
-def test_eig3_reconstruction_and_orthonormality(rng):
-    worst_rec = 0.0
-    worst_orth = 0.0
-    for _ in range(2000):
-        q = sym(rng.uniform(-10.0, 10.0, size=(3, 3)))
-        d = eig3(q)
-        assert d.eigenvalues[0] >= d.eigenvalues[1] >= d.eigenvalues[2]
-        v = d.eigenvectors
-        rec = v @ np.diag(d.eigenvalues) @ v.T
-        scale = max(1.0, float(np.max(np.abs(q))))
-        worst_rec = max(worst_rec, float(np.max(np.abs(rec - q))) / scale)
-        worst_orth = max(worst_orth, float(np.max(np.abs(v.T @ v - I3))))
-    assert worst_rec < 1e-10
-    assert worst_orth < 1e-10
-
-
 def test_eig3_near_degenerate_fallback():
-    # spectrum gap far below the closed-form threshold
-    for gap in (1e-4, 1e-9, 0.0):
-        q = np.diag([1.0, 1.0 + gap, -2.0])
-        d = eig3(q)
-        rec = d.eigenvectors @ np.diag(d.eigenvalues) @ d.eigenvectors.T
-        assert np.max(np.abs(rec - q)) < 1e-12
-        assert np.max(np.abs(d.eigenvectors.T @ d.eigenvectors - I3)) < 1e-12
+    # nearly and exactly degenerate spectra
+    q = np.array([np.diag([1.0, 1.0 + gap, -2.0]) for gap in (1e-4, 1e-9, 0.0)])
+    w, v = eigh_descending(q)
+    assert np.all(np.diff(w, axis=-1) <= 0.0)
+    rec = np.einsum("...ik,...k,...jk->...ij", v, w, v)
+    assert np.max(np.abs(rec - q)) < 1e-12
+    orth = np.swapaxes(v, -1, -2) @ v
+    assert np.max(np.abs(orth - I3)) < 1e-12
 
 
 def test_eigh_descending_batched(rng):
@@ -142,3 +103,5 @@ def test_eigh_descending_batched(rng):
     assert np.all(np.diff(w, axis=-1) <= 1e-13)
     rec = np.einsum("...ik,...k,...jk->...ij", v, w, v)
     assert np.max(np.abs(rec - q)) < 1e-12
+    orth = np.swapaxes(v, -1, -2) @ v
+    assert np.max(np.abs(orth - I3)) < 1e-12
