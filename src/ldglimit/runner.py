@@ -249,11 +249,11 @@ def run_solve(cfg: ExperimentConfig, command: str, log=None):
     """One solve from the configured boundary data at one end of the
     L-ladder; writes the field CSV and returns (result, path)."""
     solver, rung, filename = SOLVE_COMMANDS[command]
-    os.makedirs(cfg.output_dir, exist_ok=True)
     p = MaterialParams(cfg.a2, cfg.b2, cfg.c2, L=cfg.l_ladder[rung])
     init = _boundary_field(cfg, cfg.grid(), p)
     solve = globals()[solver]
     res = solve(init, p, cfg.solve_config(), log=log)
+    os.makedirs(cfg.output_dir, exist_ok=True)
     path = os.path.join(cfg.output_dir, filename)
     save_field_csv(res.field, path)
     return res, path

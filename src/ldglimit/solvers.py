@@ -2,9 +2,9 @@
 bulk energy over unconstrained traceless fields, and projected gradient flow
 for the Dirichlet energy over manifold-valued fields.
 
-Both solvers run one shared loop that freezes the boundary layer, enforces
-energy monotonicity by a halve-on-increase line search, and reports the
-discrete Euler-Lagrange residual in max norm.
+Both solvers run one shared loop that freezes the boundary layer, proposes
+Barzilai-Borwein steps, enforces energy monotonicity by a halve-on-increase
+line search, and reports the discrete Euler-Lagrange residual in max norm.
 """
 
 from __future__ import annotations
@@ -14,7 +14,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bulk import grad_f_bulk
-from .errors import NonManifoldBoundary, NotOnManifold, StiffnessFailure
+from .errors import (
+    DegenerateSpectrum,
+    NonManifoldBoundary,
+    NotOnManifold,
+    StiffnessFailure,
+)
 from .fields import (
     TensorField,
     dirichlet_energy,
@@ -26,6 +31,7 @@ from .geometry import MaterialParams, harmonic_rhs_array, project_array
 from .tensor_algebra import norm, poly_min, qtensor
 
 _DT_FLOOR = 1e-12
+_DT_CAP = 1000.0  # largest proposed step, in units of the stability step dt0
 
 
 @dataclass(frozen=True)
@@ -53,6 +59,8 @@ class SolveResult:
     el_residual: float
     converged: bool
     energy_history: np.ndarray = field(repr=False, default=None)
+    stop_reason: str = "max_iters"  # "residual", "energy" or "max_iters"
+    backtracks: int = 0  # rejected trial steps, each halving dt
 
 
 def bulk_lipschitz_bound(p: MaterialParams) -> float:
@@ -71,36 +79,61 @@ def _boundary_residual(f: TensorField, s_plus: float) -> float:
     return float(np.max(norm(poly_min(f.values[mask], s_plus))))
 
 
+def _bb1_step(s: np.ndarray, y: np.ndarray):
+    """Barzilai-Borwein step <s,s>/<s,y>, or None when <s,y> <= 0.  Pairwise
+    numpy sums keep it independent of the BLAS thread count."""
+    sy = float(np.sum(s * y))
+    return float(np.sum(s * s)) / sy if sy > 0.0 else None
+
+
 def _monotone_flow(
     init: TensorField, cfg: SolveConfig, dt0: float, objective, direction,
     retract, failure: str, log,
 ) -> SolveResult:
-    """Explicit flow with halve-on-increase line search.
+    """Explicit flow with Barzilai-Borwein steps and halve-on-increase line
+    search.
 
     direction(f) returns (velocity at interior nodes, residual); a step
     retracts interior + dt * velocity and is accepted only if the objective
-    does not increase.  Stops on the residual or the relative decrement.
+    does not increase.  A retraction that raises DegenerateSpectrum rejects
+    the trial step like an increase.  After the first step (dt0) the trial
+    step is the BB1 step <s,s>/<s,y> (s the interior change, y the change of
+    minus the velocity), or 2 * dt when <s,y> <= 0, capped at _DT_CAP * dt0.
+    Stops on the residual or the relative decrement; el_residual is the
+    residual of the returned field.
     """
     f = init.copy()
     dt = dt0
+    dt_max = _DT_CAP * dt0
     e = objective(f)
     history = [e]
-    residual = np.inf
-    iterations = 0
-    converged = False
+    prev = None  # (interior, velocity) of the previous iterate
+    stop = "max_iters"
+    backtracks = 0
 
     for iterations in range(1, cfg.max_iters + 1):
         vel, residual = direction(f)
         if residual <= cfg.residual_tol:
-            converged = True
+            stop = "residual"
             iterations -= 1
             break
-        dt = min(dt0, 2.0 * dt)
+        if prev is not None:
+            bb = _bb1_step(f.interior - prev[0], prev[1] - vel)
+            dt = min(dt_max, 2.0 * dt if bb is None else bb)
+        prev = (f.interior, vel)
+        degenerate = False
         while True:
-            candidate = f.with_interior(retract(f.interior + dt * vel))
-            e_new = objective(candidate)
+            try:
+                trial = retract(f.interior + dt * vel)
+            except DegenerateSpectrum:
+                degenerate = True
+                e_new = np.inf
+            else:
+                candidate = f.with_interior(trial)
+                e_new = objective(candidate)
             if e_new <= e:
                 break
+            backtracks += 1
             dt *= 0.5
             if dt < _DT_FLOOR:
                 raise StiffnessFailure(failure)
@@ -108,17 +141,23 @@ def _monotone_flow(
         f, e = candidate, e_new
         history.append(e)
         _emit(log, cfg, iterations, e, residual, dt)
-        if decrement <= cfg.rel_energy_tol * max(abs(e), 1e-300):
-            converged = True
+        # a step shortened past a degenerate spectrum may decrease little
+        # without the flow being near a stationary point
+        if not degenerate and decrement <= cfg.rel_energy_tol * max(abs(e), 1e-300):
+            stop = "energy"
             break
 
+    if stop != "residual":
+        _, residual = direction(f)
     return SolveResult(
         field=f,
         iterations=iterations,
         final_energy=e,
         el_residual=residual,
-        converged=converged,
+        converged=stop != "max_iters",
         energy_history=np.array(history),
+        stop_reason=stop,
+        backtracks=backtracks,
     )
 
 

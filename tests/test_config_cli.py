@@ -165,9 +165,12 @@ def test_cli_reports_domain_errors(tmp_path, capsys):
                       dims=(5, 5, 5))
     cfg_path = tmp_path / "run.cfg"
     cfg.save(cfg_path)
-    assert main(["corrector", "--config", str(cfg_path),
-                 "--out", str(tmp_path / "x")]) == 1
-    assert "error:" in capsys.readouterr().err
+    for command in ("corrector", "solve-ldg"):
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert "error:" in capsys.readouterr().err
+        # a failed command leaves no output directory behind
+        assert not out.exists(), command
 
 
 def test_every_export_resolves():
