@@ -30,7 +30,7 @@ from .geometry import (
     normal_component,
     project_array,
 )
-from .tensor_algebra import I3, norm, poly_min
+from .tensor_algebra import I3, eigh_descending, matmul_sum, norm, poly_min
 
 _IN = np.s_[1:-1]
 
@@ -174,8 +174,7 @@ def corrector_b_residual(
 
     b_in = b[_IN, _IN, _IN]
     a_in = a[_IN, _IN, _IN]
-    cross = np.einsum("axyzij,axyzjk->xyzik", grads_b_tan, grads_q)
-    cross += np.einsum("axyzij,axyzjk->xyzik", grads_q, grads_b_tan)
+    cross = matmul_sum(grads_b_tan, grads_q) + matmul_sum(grads_q, grads_b_tan)
 
     rhs = (
         -p.b2 * (b_in @ a_in + a_in @ b_in)
@@ -203,8 +202,7 @@ def linearized_apply(
     grads_q = gradient_array(q_star.values, h)
     grads_psi = gradient_array(psi.values, h)
     lap_psi = laplacian_array(psi.values, h)
-    mixed = np.einsum("axyzij,axyzjk->xyzik", grads_q, grads_psi)
-    mixed += np.einsum("axyzij,axyzjk->xyzik", grads_psi, grads_q)
+    mixed = matmul_sum(grads_q, grads_psi) + matmul_sum(grads_psi, grads_q)
     return (
         lap_psi
         + (4.0 / s**2) * ((q - (s / 6.0) * I3) @ mixed)
@@ -248,30 +246,31 @@ def projection_residual(
 
     gsq = grad_squared(grads_qs)
     w = (
-        2.0 * (np.einsum("axyzij,axyzjk->xyzik", grads_qs, grads_k) @ qs_in)
-        - 2.0 * (qs_in @ np.einsum("axyzij,axyzjk->xyzik", grads_k, grads_qs))
+        2.0 * (matmul_sum(grads_qs, grads_k) @ qs_in)
+        - 2.0 * (qs_in @ matmul_sum(grads_k, grads_qs))
         - (1.0 / s) * (q_in @ gsq)
         + (1.0 / s) * (gsq @ q_in)
     )
 
     tr_k = np.trace(k_in, axis1=-2, axis2=-1)[..., None, None]
     t = q_in - (2.0 / 9.0) * s * tr_k * I3 + beta * (qs_in / s + I3 / 3.0)
-    cond = np.linalg.cond(t)
-    if np.any(cond > cond_limit):
+    # t is symmetric, so its 2-norm condition number is max|w| / min|w|
+    abs_eig = np.abs(eigh_descending(t)[0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = np.max(abs_eig, axis=-1) / np.min(abs_eig, axis=-1)
+    if not np.all(cond <= cond_limit):  # also catches NaN
         idx = np.unravel_index(int(np.argmax(cond)), cond.shape)
         raise IllConditionedT(
             f"inversion matrix at interior node {idx} has condition estimate "
             f"{float(cond[idx]):.3e}"
         )
 
+    # one solve for T^{-1} P W and (W P T^{-1})^T = T^{-1} (W P)^T
     proj = qs_in / s - (2.0 / 3.0) * I3
-    pw = proj @ w
-    left = np.linalg.solve(t, pw)  # T^{-1} P W
-    wp = w @ proj
-    right = np.swapaxes(
-        np.linalg.solve(np.swapaxes(t, -1, -2), np.swapaxes(wp, -1, -2)), -1, -2
-    )  # W P T^{-1}
-    correction = left - right
+    x = np.linalg.solve(
+        t, np.concatenate([proj @ w, np.swapaxes(w @ proj, -1, -2)], axis=-1)
+    )
+    correction = x[..., :3] - np.swapaxes(x[..., 3:], -1, -2)
 
     rhs = harmonic_rhs_array(qs_in, grads_qs, s, form="ii") - correction
     return norm(lap_qs - rhs)

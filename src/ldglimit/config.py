@@ -3,6 +3,7 @@ serialization, and the grid and solver settings it describes."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from .fields import GridSpec
@@ -37,9 +38,14 @@ class ExperimentConfig:
         self.validate()
 
     def validate(self) -> None:
-        """Build the material parameters of every ladder L, the grid and the
-        solver settings, which check their own fields, then check what no
-        type owns."""
+        """Reject non-finite numbers, build the material parameters of every
+        ladder L, the grid and the solver settings, which check their own
+        fields, then check what no type owns."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            for x in value if isinstance(value, tuple) else (value,):
+                if isinstance(x, float) and not math.isfinite(x):
+                    raise ValueError(f"{f.name} must be finite")
         ladder = tuple(float(v) for v in self.l_ladder)
         if len(ladder) == 0:
             raise ValueError("l_ladder must be nonempty")

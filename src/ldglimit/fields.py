@@ -34,8 +34,8 @@ class GridSpec:
     def __post_init__(self):
         if len(self.dims) != 3 or any(d < 3 for d in self.dims):
             raise ValueError("dims must be three integers >= 3")
-        if any(hi <= lo for lo, hi in self.box):
-            raise ValueError("box bounds must be increasing")
+        if not all(-np.inf < lo < hi < np.inf for lo, hi in self.box):
+            raise ValueError("box bounds must be finite and increasing")
 
     @property
     def h(self) -> np.ndarray:
@@ -280,6 +280,7 @@ def norms(f: TensorField, g: TensorField, margin: float = 0.0) -> dict[str, floa
 
 
 CSV_HEADER = "x,y,z,Q11,Q22,Q12,Q13,Q23"
+_CSV_BLOCK_ROWS = 512
 
 
 def save_field_csv(f: TensorField, path) -> None:
@@ -287,16 +288,20 @@ def save_field_csv(f: TensorField, path) -> None:
     major, z fastest) node order; 17 significant digits."""
     coords = f.grid.coords().reshape(-1, 3)
     v = f.values.reshape(-1, 3, 3)
-    cols = np.column_stack(
-        [coords, v[:, 0, 0], v[:, 1, 1], v[:, 0, 1], v[:, 0, 2], v[:, 1, 2]]
-    )
+    row = ",".join(["%.17g"] * 8) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(f"# dims={f.grid.dims[0]},{f.grid.dims[1]},{f.grid.dims[2]}\n")
         box = ",".join(f"{b:.17g}" for pair in f.grid.box for b in pair)
         fh.write(f"# box={box}\n")
         fh.write(CSV_HEADER + "\n")
-        for row in cols:
-            fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+        # one format call per block of rows keeps the strings small
+        for lo in range(0, len(v), _CSV_BLOCK_ROWS):
+            rows = slice(lo, lo + _CSV_BLOCK_ROWS)
+            block = np.column_stack([
+                coords[rows], v[rows, 0, 0], v[rows, 1, 1], v[rows, 0, 1],
+                v[rows, 0, 2], v[rows, 1, 2],
+            ])
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 def load_field_csv(path) -> TensorField:

@@ -11,7 +11,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSpectrum
-from .tensor_algebra import I3, anticomm, comm, eigh_descending, frobenius, norm
+from .tensor_algebra import (
+    I3,
+    anticomm,
+    comm,
+    eigh_descending,
+    frobenius,
+    matmul_sum,
+    norm,
+)
 
 
 @dataclass(frozen=True)
@@ -29,8 +37,8 @@ class MaterialParams:
 
     def __post_init__(self):
         for name in ("a2", "b2", "c2", "L"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
 
     @property
     def s_plus(self) -> float:
@@ -65,13 +73,13 @@ def project_array(
     """Nearest-point projection of tensors of shape (..., 3, 3).
 
     Returns (projected tensors, directors).  Raises DegenerateSpectrum if any
-    entry fails the eigen-gap precondition.
+    entry fails the eigen-gap precondition or is not finite.
     """
     if gap_tol is None:
         gap_tol = default_gap_tol(p)
     w, v = eigh_descending(q)
     gap = w[..., 0] - w[..., 1]
-    if np.any(gap < gap_tol):
+    if not np.all(gap >= gap_tol):  # a NaN entry fails too
         worst = float(np.min(gap))
         raise DegenerateSpectrum(
             f"top eigenvalue gap {worst:.3e} below tolerance {gap_tol:.3e}"
@@ -113,7 +121,7 @@ def second_fundamental_form(
 def grad_squared(grads) -> np.ndarray:
     """Sum over directions of (grad_alpha Q)^2."""
     g = np.asarray(grads)
-    return np.einsum("a...ij,a...jk->...ik", g, g)
+    return matmul_sum(g, g)
 
 
 def grad_norm2(grads) -> np.ndarray:

@@ -16,6 +16,7 @@ import numpy as np
 from .bulk import grad_f_bulk
 from .errors import (
     DegenerateSpectrum,
+    LdglimitError,
     NonManifoldBoundary,
     NotOnManifold,
     StiffnessFailure,
@@ -106,6 +107,8 @@ def _monotone_flow(
     dt = dt0
     dt_max = _DT_CAP * dt0
     e = objective(f)
+    if not np.isfinite(e):
+        raise LdglimitError(f"starting energy is not finite ({e})")
     history = [e]
     prev = None  # (interior, velocity) of the previous iterate
     stop = "max_iters"
@@ -135,7 +138,7 @@ def _monotone_flow(
                 break
             backtracks += 1
             dt *= 0.5
-            if dt < _DT_FLOOR:
+            if not dt >= _DT_FLOOR:  # also stops a NaN step
                 raise StiffnessFailure(failure)
         decrement = e - e_new
         f, e = candidate, e_new

@@ -46,7 +46,15 @@ def trace2(q: np.ndarray) -> np.ndarray:
 
 def trace3(q: np.ndarray) -> np.ndarray:
     """tr(q^3) for symmetric q."""
-    return np.einsum("...ij,...jk,...ki->...", q, q, q)
+    return frobenius(q @ q, q)
+
+
+def matmul_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sum over the leading axis of the batched products a[k] @ b[k]."""
+    out = a[0] @ b[0]
+    for k in range(1, len(a)):
+        out += a[k] @ b[k]
+    return out
 
 
 def anticomm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -70,9 +78,110 @@ def poly_min(q: np.ndarray, s_plus: float) -> np.ndarray:
 
 
 def eigh_descending(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Batched symmetric eigendecomposition, eigenvalues descending.
+    """Batched symmetric 3x3 eigendecomposition, eigenvalues descending.
 
-    Returns (w, v) with w shape (..., 3) and v columns matching w.
+    Returns (w, v) with w shape (..., 3) and v columns matching w.  One
+    closed form for every matrix (Smith, Commun. ACM 4, 1961; eigenvectors
+    as in Kopp, Int. J. Mod. Phys. C 19, 2008), on B = (A - mI)/p with
+    m = tr(A)/3 and tr(B^2) = 6 (B = 0 for scalar A):
+
+    - the trigonometric formula gives the extreme eigenvalue mu of B whose
+      gap to the middle one is larger, so that gap is at least 1.5 and
+      |mu| >= sqrt(3);
+    - its eigenvector is the longest column of adj(B - mu I), i.e. the
+      longest cross product of two rows of B - mu I; that column is longer
+      than 2 (3 e1 for scalar A, where B - mu I = -sqrt(3) I), so it never
+      vanishes;
+    - one 2x2 Jacobi rotation diagonalizes B on the orthogonal complement
+      and gives the other two eigenpairs.
     """
-    w, v = np.linalg.eigh(q)
-    return w[..., ::-1], v[..., :, ::-1]
+    a = np.asarray(q, dtype=float)
+    batch = a.shape[:-2]
+    a00, a01, a02, _, a11, a12, _, _, a22 = a.reshape(-1, 9).T
+    m = (a00 + a11 + a22) / 3.0
+    b0, b1, b2 = a00 - m, a11 - m, a22 - m
+    p = np.sqrt(
+        (b0 * b0 + b1 * b1 + b2 * b2 + 2.0 * (a01 * a01 + a02 * a02 + a12 * a12))
+        / 6.0
+    )
+    inv_p = 1.0 / np.where(p > 0.0, p, 1.0)
+    b0 *= inv_p
+    b1 *= inv_p
+    b2 *= inv_p
+    b01, b02, b12 = a01 * inv_p, a02 * inv_p, a12 * inv_p
+
+    # cos(3 phi) = det(B)/2; the top eigenvalue 2cos(phi) is the better
+    # separated one iff det(B) >= 0, else the bottom one 2cos(phi + 2pi/3)
+    half_det = 0.5 * (
+        b0 * (b1 * b2 - b12 * b12)
+        - b01 * (b01 * b2 - b12 * b02)
+        + b02 * (b01 * b12 - b1 * b02)
+    )
+    top = half_det >= 0.0
+    phi = np.arccos(np.clip(half_det, -1.0, 1.0)) / 3.0
+    mu = 2.0 * np.cos(np.where(top, phi, phi + 2.0 * np.pi / 3.0))
+
+    s0, s1, s2 = b0 - mu, b1 - mu, b2 - mu
+    c00 = s1 * s2 - b12 * b12
+    c11 = s0 * s2 - b02 * b02
+    c22 = s0 * s1 - b01 * b01
+    c01 = b02 * b12 - b01 * s2
+    c02 = b01 * b12 - b02 * s1
+    c12 = b01 * b02 - s0 * b12
+    n0 = c00 * c00 + c01 * c01 + c02 * c02
+    n1 = c01 * c01 + c11 * c11 + c12 * c12
+    n2 = c02 * c02 + c12 * c12 + c22 * c22
+    k0 = (n0 >= n1) & (n0 >= n2)
+    k1 = n1 >= n2
+    inv_n = 1.0 / np.sqrt(np.where(k0, n0, np.where(k1, n1, n2)))
+    ex = np.where(k0, c00, np.where(k1, c01, c02)) * inv_n
+    ey = np.where(k0, c01, np.where(k1, c11, c12)) * inv_n
+    ez = np.where(k0, c02, np.where(k1, c12, c22)) * inv_n
+
+    # orthonormal complement (u, v) of e; |u| >= 1/sqrt(2) before scaling
+    big_x = np.abs(ex) > np.abs(ez)
+    ux = np.where(big_x, -ey, 0.0)
+    uy = np.where(big_x, ex, -ez)
+    uz = np.where(big_x, 0.0, ey)
+    inv_u = 1.0 / np.sqrt(ux * ux + uy * uy + uz * uz)
+    ux *= inv_u
+    uy *= inv_u
+    uz *= inv_u
+    vx = ey * uz - ez * uy
+    vy = ez * ux - ex * uz
+    vz = ex * uy - ey * ux
+
+    # B on span(u, v) and the Jacobi rotation that diagonalizes it
+    bu0 = b0 * ux + b01 * uy + b02 * uz
+    bu1 = b01 * ux + b1 * uy + b12 * uz
+    bu2 = b02 * ux + b12 * uy + b2 * uz
+    m11 = ux * bu0 + uy * bu1 + uz * bu2
+    m12 = vx * bu0 + vy * bu1 + vz * bu2
+    m22 = (
+        vx * (b0 * vx + b01 * vy + b02 * vz)
+        + vy * (b01 * vx + b1 * vy + b12 * vz)
+        + vz * (b02 * vx + b12 * vy + b2 * vz)
+    )
+    theta = 0.5 * np.arctan2(2.0 * m12, m11 - m22)
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
+    half_r = 0.5 * np.hypot(m11 - m22, 2.0 * m12)
+    mid = 0.5 * (m11 + m22)
+
+    # eigenpairs (w_e, e), (w_a, f) and (w_b, g) with w_a >= w_b; e goes
+    # first when it belongs to the top eigenvalue and last otherwise
+    w_e = m + p * mu
+    w_a = m + p * (mid + half_r)
+    w_b = m + p * (mid - half_r)
+    e = (ex, ey, ez)
+    f = (cos_t * ux + sin_t * vx, cos_t * uy + sin_t * vy, cos_t * uz + sin_t * vz)
+    g = (cos_t * vx - sin_t * ux, cos_t * vy - sin_t * uy, cos_t * vz - sin_t * uz)
+    w = np.empty((len(m), 3))
+    w[:, 0] = np.where(top, w_e, w_a)
+    w[:, 1] = np.where(top, w_a, w_b)
+    w[:, 2] = np.where(top, w_b, w_e)
+    v = np.empty((len(m), 3, 3))
+    for i in range(3):
+        v[:, i, 0] = np.where(top, e[i], f[i])
+        v[:, i, 1] = np.where(top, f[i], g[i])
+        v[:, i, 2] = np.where(top, g[i], e[i])
+    return w.reshape(batch + (3,)), v.reshape(batch + (3, 3))

@@ -279,6 +279,9 @@ def test_projection_residual_beta_independence():
     r1 = projection_residual(f, p, beta=s)
     r2 = projection_residual(f, p, beta=2.0 * s)
     assert np.max(np.abs(r1 - r2)) < 1e-9
+    # values of the form that solves T X = P W and X T = W P separately
+    assert np.max(r1) == pytest.approx(0.2866953306106434, rel=1e-10)
+    assert np.mean(r1) == pytest.approx(0.19508472011734196, rel=1e-10)
     with pytest.raises(ValueError):
         projection_residual(f, p, beta=0.0)
 

@@ -83,6 +83,13 @@ def test_parse_rejects_bad_lines(text):
         dict(margin=0.1),                   # positive but below 2h
         dict(dt_safety=1.5),
         dict(max_iters=0),
+        dict(box_hi=float("nan")),
+        dict(box_lo=float("-inf")),
+        dict(a2=float("nan")),
+        dict(eps=float("nan")),
+        dict(l_ladder=(0.1, float("nan"))),
+        dict(margin=float("nan")),
+        dict(residual_tol=float("inf")),
     ],
 )
 def test_config_validation_errors(overrides):
@@ -103,7 +110,19 @@ def test_cli_threads_validation(capsys):
     assert main(["--threads", "0", "check-geometry"]) == 2
 
 
-@pytest.mark.parametrize("line", ["a2=0", "dt_safety=1.5", "dims=8,8"])
+@pytest.mark.parametrize(
+    "line",
+    [
+        "a2=0",
+        "dt_safety=1.5",
+        "dims=8,8",
+        # non-finite values; box_hi=nan used to make solve-ldg loop forever
+        "box_hi=nan\ndims=4,4,4\nmargin=0",
+        "a2=nan",
+        "eps=nan",
+        "l_ladder=nan",
+    ],
+)
 def test_cli_rejects_bad_config(tmp_path, capsys, line):
     """A config file the types reject is a bad argument: exit 2 with a
     one-line error, before any output directory is made."""

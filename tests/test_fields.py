@@ -48,6 +48,9 @@ def test_gridspec_layout():
         GridSpec(dims=(2, 5, 5))
     with pytest.raises(ValueError):
         GridSpec(dims=(4, 4, 4), box=((0.0, 0.0), (0.0, 1.0), (0.0, 1.0)))
+    for bad in ((0.0, float("nan")), (float("-inf"), 1.0), (0.0, float("inf"))):
+        with pytest.raises(ValueError):
+            GridSpec(dims=(4, 4, 4), box=((0.0, 1.0), bad, (0.0, 1.0)))
 
 
 def test_laplacian_and_gradient_exact_on_polynomials(rng):
@@ -253,3 +256,30 @@ def test_csv_round_trip(tmp_path, rng):
     path2 = tmp_path / "field2.csv"
     save_field_csv(g, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_csv_bytes_match_per_value_format(tmp_path, rng):
+    """The block writer prints every value exactly as f"{x:.17g}" does,
+    including signed zeros, subnormals and large exponents, across more
+    rows than one block."""
+    grid = small_grid(dims=(18, 17, 16))
+    values = rng.normal(size=grid.shape + (3, 3))
+    flat = values.reshape(-1, 3, 3)
+    flat[0, 0, 0] = -0.0
+    flat[1, 1, 1] = 5e-324
+    flat[2, 0, 1] = 1e300
+    flat[-1, 1, 2] = -0.0
+    f = TensorField(grid, values)
+    path = tmp_path / "field.csv"
+    save_field_csv(f, path)
+    coords = grid.coords().reshape(-1, 3)
+    cols = np.column_stack([coords, flat[:, 0, 0], flat[:, 1, 1], flat[:, 0, 1],
+                            flat[:, 0, 2], flat[:, 1, 2]])
+    assert len(cols) > 4096
+    box = ",".join(f"{b:.17g}" for pair in grid.box for b in pair)
+    lines = ["# dims=18,17,16", f"# box={box}", "x,y,z,Q11,Q22,Q12,Q13,Q23"]
+    lines += [",".join(f"{x:.17g}" for x in row) for row in cols]
+    expected = ("\n".join(lines) + "\n").encode()
+    assert path.read_bytes() == expected
+    assert b",-0," in expected and b"4.9406564584124654e-324" in expected
+    assert b"1e+300" in expected

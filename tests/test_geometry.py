@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from ldglimit.errors import DegenerateSpectrum
+from ldglimit.fields import gradient_array
 from ldglimit.geometry import (
     ManifoldPoint,
     MaterialParams,
     check_identities,
     default_gap_tol,
+    grad_squared,
     harmonic_rhs_array,
     normal_basis_s0,
     normal_component,
@@ -48,6 +50,11 @@ def test_material_params_validation():
         MaterialParams(0.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         MaterialParams(1.0, 1.0, 1.0, L=-0.1)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            MaterialParams(1.0, bad, 1.0)
+        with pytest.raises(ValueError):
+            MaterialParams(1.0, 1.0, 1.0, L=bad)
 
 
 def test_uniaxial_spectrum_and_membership(rng, unit_params):
@@ -95,6 +102,11 @@ def test_projection_degenerate_spectrum(rng, unit_params):
     # one degenerate entry fails the whole batch
     q = uniaxial(random_directors(rng, 4), unit_params.s_plus)
     q[2] = 0.0
+    with pytest.raises(DegenerateSpectrum):
+        project_array(q, unit_params)
+    # so does a non-finite entry
+    q = uniaxial(random_directors(rng, 4), unit_params.s_plus)
+    q[1, 0, 2] = q[1, 2, 0] = np.nan
     with pytest.raises(DegenerateSpectrum):
         project_array(q, unit_params)
     assert default_gap_tol(unit_params) == pytest.approx(0.15)
@@ -230,6 +242,19 @@ def test_harmonic_rhs_forms_agree_on_tangents(rng, unit_params):
     assert np.max(np.abs(harmonic_rhs_array(base.q, np.zeros((3, 3, 3)), s))) == 0.0
     with pytest.raises(ValueError):
         harmonic_rhs_array(base.q, np.zeros((3, 3, 3)), s, form="v")
+
+
+def test_grad_squared_einsum_oracle(rng):
+    values = qtensor(rng.normal(size=(9, 8, 7, 3, 3)))
+    h = np.array([0.5, 0.25, 0.2])
+    for grads in (
+        gradient_array(values, h),
+        gradient_array(values, h)[:, 1:-1, 1:-1, 1:-1],  # non-contiguous
+    ):
+        ref = np.einsum("a...ij,a...jk->...ik", grads, grads)
+        gsq = grad_squared(grads)
+        assert gsq.shape == ref.shape
+        assert np.max(np.abs(gsq - ref)) < 1e-12 * np.max(np.abs(ref))
 
 
 def test_check_identities_valid_and_mutated(rng, unit_params):

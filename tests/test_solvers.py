@@ -7,6 +7,7 @@ import pytest
 import ldglimit.solvers as solvers
 from ldglimit.errors import (
     DegenerateSpectrum,
+    LdglimitError,
     NonManifoldBoundary,
     NotOnManifold,
     StiffnessFailure,
@@ -219,6 +220,23 @@ def test_degenerate_retraction_is_a_rejected_step(monkeypatch, harmonic_run):
     assert np.all(np.diff(res.energy_history) <= 0.0)
     assert res.final_energy == pytest.approx(reference.final_energy, rel=1e-9)
     assert np.max(norm(poly_min(res.field.values, p.s_plus))) < 1e-10
+
+
+@pytest.mark.parametrize("solve", [solve_ldg, solve_harmonic])
+def test_non_finite_start_raises_at_once(monkeypatch, solve):
+    """One NaN interior node makes the starting energy NaN; the flow stops
+    before its first step instead of halving dt forever or into the floor."""
+    p = make_params()
+    init = tilt_field(p)
+    init.values[3, 4, 5] = np.nan
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("the flow tried a step")
+
+    monkeypatch.setattr(solvers, "qtensor", no_step)
+    monkeypatch.setattr(solvers, "project_array", no_step)
+    with pytest.raises(LdglimitError, match="starting energy is not finite"):
+        solve(init, p, SolveConfig(max_iters=100))
 
 
 def test_warm_start_reduces_iterations():

@@ -12,6 +12,7 @@ from ldglimit.tensor_algebra import (
     dev,
     eigh_descending,
     frobenius,
+    matmul_sum,
     norm,
     poly_min,
     qtensor,
@@ -86,22 +87,81 @@ def test_poly_min_nonzero_off_manifold(rng):
     assert np.min(norm(poly_min(q, s))) > 1e-3
 
 
-def test_eig3_near_degenerate_fallback():
-    # nearly and exactly degenerate spectra
-    q = np.array([np.diag([1.0, 1.0 + gap, -2.0]) for gap in (1e-4, 1e-9, 0.0)])
+def _assert_eigh_matches_lapack(q):
+    """Descending order, no NaN, eigenvalues within 1e-14 max|lambda| of
+    LAPACK, reconstruction within 1e-13 max|lambda|, orthonormal columns
+    within 1e-13."""
     w, v = eigh_descending(q)
+    assert w.shape == q.shape[:-1] and v.shape == q.shape
+    assert not np.isnan(w).any() and not np.isnan(v).any()
     assert np.all(np.diff(w, axis=-1) <= 0.0)
+    w_ref = np.linalg.eigh(q)[0][..., ::-1]
+    scale = np.max(np.abs(w_ref), axis=-1)
+    assert np.all(np.max(np.abs(w - w_ref), axis=-1) <= 1e-14 * scale)
     rec = np.einsum("...ik,...k,...jk->...ij", v, w, v)
-    assert np.max(np.abs(rec - q)) < 1e-12
+    assert np.all(np.max(np.abs(rec - q), axis=(-2, -1)) <= 1e-13 * scale)
     orth = np.swapaxes(v, -1, -2) @ v
-    assert np.max(np.abs(orth - I3)) < 1e-12
+    assert np.max(np.abs(orth - I3)) <= 1e-13
+
+
+def _rotate(rng, diag):
+    """R diag(d) R^T for one random rotation per row of diag."""
+    r, _ = np.linalg.qr(rng.normal(size=(len(diag), 3, 3)))
+    return r @ (diag[..., :, None] * np.swapaxes(r, -1, -2))
+
+
+def test_eig3_near_degenerate_fallback(rng):
+    # nearly and exactly degenerate spectra on the axes
+    q = np.array([np.diag([1.0, 1.0 + gap, -2.0]) for gap in (1e-4, 1e-9, 0.0)])
+    _assert_eigh_matches_lapack(q)
+    # rotated spectra whose top or bottom gap is 10^-k, k = 0..15
+    gaps = 10.0 ** -np.arange(16)
+    ones = np.ones_like(gaps)
+    for diag in (
+        np.stack([ones, ones - gaps, -ones], axis=-1),
+        np.stack([ones, gaps - ones, -ones], axis=-1),
+        np.stack([gaps, 0.0 * gaps, -ones], axis=-1),
+    ):
+        for _ in range(20):
+            _assert_eigh_matches_lapack(_rotate(rng, diag))
+    # scalar and zero matrices
+    scalars = np.array([0.0, 1.0, -2.5, 1e-8, 1e8])[:, None, None] * I3
+    _assert_eigh_matches_lapack(scalars)
+    w, v = eigh_descending(np.zeros((3, 3)))
+    assert np.array_equal(w, np.zeros(3))
+    # uniaxial points: the two lower (or upper) eigenvalues are exactly equal
+    n = random_directors(rng, 500)
+    uni = 1.3 * (n[..., :, None] * n[..., None, :] - I3 / 3.0)
+    _assert_eigh_matches_lapack(np.concatenate([uni, -uni, uni + 5.0 * I3]))
+    # scaled inputs
+    q = sym(rng.normal(size=(2000, 3, 3)))
+    for scale in (1e-8, 1e8):
+        _assert_eigh_matches_lapack(scale * q)
 
 
 def test_eigh_descending_batched(rng):
-    q = sym(rng.normal(size=(300, 3, 3)))
-    w, v = eigh_descending(q)
-    assert np.all(np.diff(w, axis=-1) <= 1e-13)
-    rec = np.einsum("...ik,...k,...jk->...ij", v, w, v)
-    assert np.max(np.abs(rec - q)) < 1e-12
-    orth = np.swapaxes(v, -1, -2) @ v
-    assert np.max(np.abs(orth - I3)) < 1e-12
+    q = sym(rng.normal(size=(20000, 3, 3)))
+    _assert_eigh_matches_lapack(q)
+    # broadcasts over several leading axes and a single matrix
+    grid = q[:120].reshape(4, 5, 6, 3, 3)
+    w, v = eigh_descending(grid)
+    w_flat, v_flat = eigh_descending(q[:120])
+    assert np.array_equal(w, w_flat.reshape(4, 5, 6, 3))
+    assert np.array_equal(v, v_flat.reshape(4, 5, 6, 3, 3))
+    w1, v1 = eigh_descending(q[7])
+    assert np.array_equal(w1, w_flat[7]) and np.array_equal(v1, v_flat[7])
+    # a strided (non-contiguous) input gives the same result
+    w_nc, _ = eigh_descending(np.swapaxes(np.swapaxes(q, -1, -2)[::2], -1, -2))
+    assert np.array_equal(w_nc, eigh_descending(q[::2])[0])
+
+
+def test_trace3_and_matmul_sum_einsum_oracle(rng):
+    big = sym(rng.normal(size=(3, 9, 8, 7, 3, 3)))
+    g = big[:, 1:-1, 1:-1, 1:-1]  # non-contiguous, as stencil slices are
+    h = big[::-1, 1:-1, 1:-1, 1:-1]
+    assert not g.flags.c_contiguous
+    ref = np.einsum("a...ij,a...jk->...ik", g, h)
+    assert np.max(np.abs(matmul_sum(g, h) - ref)) < 1e-13
+    q = g[1]
+    ref3 = np.einsum("...ij,...jk,...ki->...", q, q, q)
+    assert np.max(np.abs(trace3(q) - ref3)) < 1e-13
