@@ -45,7 +45,6 @@ _EXPORTS = {
     "second_fundamental_form": "geometry",
     "solve_ldg": "solvers",
     "solve_harmonic": "solvers",
-    "energy_ldg": "fields",
     "boundary_hedgehog": "fields",
     "boundary_near_constant": "fields",
     "save_field_csv": "fields",

@@ -89,10 +89,6 @@ class TensorField:
         return mask
 
 
-def zeros_field(grid: GridSpec) -> TensorField:
-    return TensorField(grid, np.zeros(grid.shape + (3, 3)))
-
-
 def _require_same_grid(f: TensorField, g: TensorField) -> None:
     if f.grid != g.grid:
         raise GridMismatch("fields live on different grids")
@@ -106,6 +102,41 @@ def laplacian_array(values: np.ndarray, h: np.ndarray) -> np.ndarray:
     out += (values[_IN, 2:, _IN] - 2.0 * c + values[_IN, :-2, _IN]) / h[1] ** 2
     out += (values[_IN, _IN, 2:] - 2.0 * c + values[_IN, _IN, :-2]) / h[2] ** 2
     return out
+
+
+def _dst1(x: np.ndarray, axis: int) -> np.ndarray:
+    """DST-I along one axis, X_k = sum_j x_j sin(pi j k / (n+1)), from
+    numpy.fft.rfft of the odd extension [0, x, 0, -x reversed]."""
+    x = np.moveaxis(x, axis, 0)
+    n = x.shape[0]
+    zero = np.zeros((1,) + x.shape[1:])
+    ext = np.concatenate([zero, x, zero, -x[::-1]])
+    return np.moveaxis(-0.5 * np.fft.rfft(ext, axis=0).imag[1:n + 1], 0, axis)
+
+
+def poisson_dirichlet(rhs: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Solve -lap(u) = rhs (7-point stencil, zero Dirichlet data) for u at
+    the interior nodes; rhs is an interior-node array.
+
+    The stencil is diagonal in the DST-I basis with eigenvalues
+    sum_a 4 sin^2(pi k_a / (2 (n_a + 1))) / h_a^2, and DST-I is its own
+    inverse up to a factor 2 / (n_a + 1) per axis.
+    """
+    dims = rhs.shape[:3]
+    lam = np.zeros(dims)
+    coef = rhs
+    for axis, n in enumerate(dims):
+        shape = [1, 1, 1]
+        shape[axis] = n
+        k = np.arange(1, n + 1)
+        lam = lam + (
+            4.0 * np.sin(np.pi * k / (2.0 * (n + 1))) ** 2 / h[axis] ** 2
+        ).reshape(shape)
+        coef = _dst1(coef, axis)
+    coef = coef / lam.reshape(dims + (1,) * (rhs.ndim - 3))
+    for axis in range(3):
+        coef = _dst1(coef, axis)
+    return coef * float(np.prod([2.0 / (n + 1) for n in dims]))
 
 
 def gradient_array(values: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -186,17 +217,6 @@ def bulk_energy(f: TensorField, p: MaterialParams) -> float:
     """Trapezoid-quadrature integral of the shifted bulk density."""
     density = f_bulk_shifted(f.values, p)
     return float(np.sum(node_weights(f.grid) * density)) * f.grid.cell_volume()
-
-
-def energy_ldg_parts(f: TensorField, p: MaterialParams) -> tuple[float, float]:
-    """(Dirichlet part without the L/2 factor, bulk part)."""
-    return dirichlet_energy(f), bulk_energy(f, p)
-
-
-def energy_ldg(f: TensorField, p: MaterialParams) -> float:
-    """Discrete shifted elastic-plus-bulk energy (L/2)|grad Q|^2 + bulk."""
-    d, b = energy_ldg_parts(f, p)
-    return 0.5 * p.L * d + b
 
 
 def boundary_hedgehog(

@@ -1,6 +1,6 @@
 """Gradient-flow minimization: explicit monotone flow for the elastic-plus-
-bulk energy over unconstrained traceless fields, and projected gradient flow
-for the Dirichlet energy over manifold-valued fields.
+bulk energy over unconstrained traceless fields, and projected H1 gradient
+flow for the Dirichlet energy over manifold-valued fields.
 
 Both solvers run one shared loop that freezes the boundary layer, proposes
 Barzilai-Borwein steps, enforces energy monotonicity by a halve-on-increase
@@ -25,14 +25,16 @@ from .fields import (
     TensorField,
     dirichlet_energy,
     bulk_energy,
-    gradient_array,
     laplacian_array,
+    poisson_dirichlet,
 )
-from .geometry import MaterialParams, harmonic_rhs_array, project_array
+from .geometry import MaterialParams, normal_component, project_array
 from .tensor_algebra import norm, poly_min, qtensor
 
 _DT_FLOOR = 1e-12
-_DT_CAP = 1000.0  # largest proposed step, in units of the stability step dt0
+_DT_CAP = 1000.0  # largest proposed step, in units of the first step dt0
+# relative energy change that rounding alone can make (half the digits)
+_ROUNDING = float(np.sqrt(np.finfo(float).eps))
 
 
 @dataclass(frozen=True)
@@ -80,28 +82,41 @@ def _boundary_residual(f: TensorField, s_plus: float) -> float:
     return float(np.max(norm(poly_min(f.values[mask], s_plus))))
 
 
-def _bb1_step(s: np.ndarray, y: np.ndarray):
-    """Barzilai-Borwein step <s,s>/<s,y>, or None when <s,y> <= 0.  Pairwise
-    numpy sums keep it independent of the BLAS thread count."""
+def _bb_step(s: np.ndarray, y: np.ndarray, metric):
+    """Barzilai-Borwein step <s,Ms>/<s,y> in the metric M (the identity
+    when metric is None), or None when <s,y> <= 0.  Pairwise numpy sums
+    keep it independent of the BLAS thread count."""
     sy = float(np.sum(s * y))
-    return float(np.sum(s * s)) / sy if sy > 0.0 else None
+    ms = s if metric is None else metric(s)
+    return float(np.sum(s * ms)) / sy if sy > 0.0 else None
 
 
 def _monotone_flow(
     init: TensorField, cfg: SolveConfig, dt0: float, objective, direction,
-    retract, failure: str, log,
+    retract, failure: str, log, metric=None,
 ) -> SolveResult:
     """Explicit flow with Barzilai-Borwein steps and halve-on-increase line
     search.
 
-    direction(f) returns (velocity at interior nodes, residual); a step
-    retracts interior + dt * velocity and is accepted only if the objective
-    does not increase.  A retraction that raises DegenerateSpectrum rejects
-    the trial step like an increase.  After the first step (dt0) the trial
-    step is the BB1 step <s,s>/<s,y> (s the interior change, y the change of
-    minus the velocity), or 2 * dt when <s,y> <= 0, capped at _DT_CAP * dt0.
-    Stops on the residual or the relative decrement; el_residual is the
-    residual of the returned field.
+    direction(f) returns (velocity, L2 residual, max-norm residual) at the
+    interior nodes; a step retracts interior + dt * velocity and is accepted
+    only if the objective does not increase.  A retraction that raises
+    DegenerateSpectrum rejects the trial step like an increase.  After the
+    first step (dt0) the trial step is the BB1 step <s,Ms>/<s,y> (s the
+    interior change, y the change of minus the L2 residual, M the metric
+    whose inverse maps the L2 residual to the velocity: the identity when
+    metric is None), or 2 * dt when <s,y> <= 0, capped at _DT_CAP * dt0.
+
+    Stops on the residual, or on the second full trial step since the last
+    larger decrement that decreases the energy by at most rel_energy_tol
+    (relative).  One such step is also what a non-monotone BB step gives far
+    from a stationary point, and a step the line search shortened may
+    decrease little for that reason alone, so it neither counts nor resets.
+    A line search that reaches _DT_FLOOR stops on "energy" with the last
+    accepted field when the energy no longer resolves the flow: right after
+    a small decrement, or when the last trial's increase is at most
+    _ROUNDING relative.  Otherwise it raises StiffnessFailure.  el_residual
+    is the residual of the returned field.
     """
     f = init.copy()
     dt = dt0
@@ -110,26 +125,27 @@ def _monotone_flow(
     if not np.isfinite(e):
         raise LdglimitError(f"starting energy is not finite ({e})")
     history = [e]
-    prev = None  # (interior, velocity) of the previous iterate
+    prev = None  # (interior, L2 residual) of the previous iterate
     stop = "max_iters"
     backtracks = 0
+    small = False  # the last accepted step decreased the energy by <= tol
+    strike = False  # a full trial step did so since the last larger decrement
 
     for iterations in range(1, cfg.max_iters + 1):
-        vel, residual = direction(f)
+        vel, grad, residual = direction(f)
         if residual <= cfg.residual_tol:
             stop = "residual"
             iterations -= 1
             break
         if prev is not None:
-            bb = _bb1_step(f.interior - prev[0], prev[1] - vel)
+            bb = _bb_step(f.interior - prev[0], prev[1] - grad, metric)
             dt = min(dt_max, 2.0 * dt if bb is None else bb)
-        prev = (f.interior, vel)
-        degenerate = False
+        prev = (f.interior, grad)
+        shortened = False
         while True:
             try:
                 trial = retract(f.interior + dt * vel)
             except DegenerateSpectrum:
-                degenerate = True
                 e_new = np.inf
             else:
                 candidate = f.with_interior(trial)
@@ -137,21 +153,34 @@ def _monotone_flow(
             if e_new <= e:
                 break
             backtracks += 1
+            shortened = True
             dt *= 0.5
             if not dt >= _DT_FLOOR:  # also stops a NaN step
-                raise StiffnessFailure(failure)
+                # the energy no longer resolves the flow after a small
+                # decrement, or when this negligible step changes it by
+                # rounding only; a larger increase is a jump
+                if not (small or e_new - e <= _ROUNDING * abs(e)):
+                    raise StiffnessFailure(failure)
+                stop = "energy"
+                break
+        if stop == "energy":
+            iterations -= 1  # this iteration accepted no step
+            break
         decrement = e - e_new
         f, e = candidate, e_new
         history.append(e)
         _emit(log, cfg, iterations, e, residual, dt)
-        # a step shortened past a degenerate spectrum may decrease little
-        # without the flow being near a stationary point
-        if not degenerate and decrement <= cfg.rel_energy_tol * max(abs(e), 1e-300):
-            stop = "energy"
-            break
+        small = decrement <= cfg.rel_energy_tol * max(abs(e), 1e-300)
+        if not small:
+            strike = False
+        elif not shortened:
+            if strike:
+                stop = "energy"
+                break
+            strike = True
 
     if stop != "residual":
-        _, residual = direction(f)
+        _, _, residual = direction(f)
     return SolveResult(
         field=f,
         iterations=iterations,
@@ -188,7 +217,7 @@ def solve_ldg(
 
     def direction(fld: TensorField):
         vel = laplacian_array(fld.values, h) - grad_f_bulk(fld.interior, p) / p.L
-        return vel, float(np.max(norm(vel)))
+        return vel, vel, float(np.max(norm(vel)))
 
     return _monotone_flow(
         init, cfg, dt0, objective, direction,
@@ -201,9 +230,16 @@ def solve_ldg(
 def solve_harmonic(
     init: TensorField, p: MaterialParams, cfg: SolveConfig, log=None
 ) -> SolveResult:
-    """Projected gradient flow for the Dirichlet energy over manifold-valued
-    fields: unconstrained diffusion step followed by nearest-point retraction
-    at every interior node."""
+    """Projected H1 gradient flow for the Dirichlet energy over
+    manifold-valued fields (Alouges' scheme for harmonic maps).
+
+    The L2 residual g is the tangential part of lap(Q).  The velocity is the
+    tangential part of (-lap)^{-1} g (zero Dirichlet data), and a step
+    retracts Q + dt * velocity to the manifold at every interior node.  BB
+    steps are taken in the metric -lap; in it the linearized flow has unit
+    rate, so the first trial step is dt_safety.  el_residual is max |g|, the
+    stationarity residual of the discrete harmonic map.
+    """
     s = p.s_plus
     all_res = float(np.max(norm(poly_min(init.values, s))))
     if all_res > 1e-8 * max(1.0, s**2):
@@ -212,19 +248,21 @@ def solve_harmonic(
         )
 
     h = init.grid.h
-    dt0 = cfg.dt_safety * float(np.min(h)) ** 2 / 6.0
+    pad = ((1, 1),) * 3 + ((0, 0),) * 2
 
     def direction(fld: TensorField):
+        q = fld.interior
         lap = laplacian_array(fld.values, h)
-        grads = gradient_array(fld.values, h)
-        rhs = harmonic_rhs_array(fld.interior, grads, s, form="iv")
-        return lap, float(np.max(norm(lap - rhs)))
+        g = lap - normal_component(lap, q, s)
+        v = poisson_dirichlet(g, h)
+        return v - normal_component(v, q, s), g, float(np.max(norm(g)))
 
     return _monotone_flow(
-        init, cfg, dt0,
+        init, cfg, cfg.dt_safety,
         objective=dirichlet_energy,
         direction=direction,
         retract=lambda m: project_array(m, p)[0],
         failure="time step underflow in projected flow",
         log=log,
+        metric=lambda d: -laplacian_array(np.pad(d, pad), h),
     )

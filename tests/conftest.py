@@ -1,9 +1,14 @@
 """Shared fixtures and helpers for the test suite."""
 
+import time
+
 import numpy as np
 import pytest
 
+from ldglimit.config import ExperimentConfig
+from ldglimit.fields import GridSpec, TensorField
 from ldglimit.geometry import MaterialParams
+from ldglimit.runner import run_sweep
 from ldglimit.tensor_algebra import qtensor
 
 
@@ -15,6 +20,21 @@ def rng():
 @pytest.fixture
 def unit_params():
     return MaterialParams(a2=1.0, b2=1.0, c2=1.0)
+
+
+@pytest.fixture(scope="session")
+def sweep_report():
+    """The default sweep (near-constant eps=0.2 boundary, unit material
+    constants, 16^3 grid, ladder 0.16/0.08/0.04/0.02), run once."""
+    cfg = ExperimentConfig()
+    t0 = time.monotonic()
+    rep = run_sweep(cfg, write=False)
+    rep.elapsed = time.monotonic() - t0
+    return rep
+
+
+def zeros_field(grid: GridSpec) -> TensorField:
+    return TensorField(grid, np.zeros(grid.shape + (3, 3)))
 
 
 def random_qtensors(rng, n, scale=1.0):

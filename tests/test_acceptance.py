@@ -1,7 +1,9 @@
 """Acceptance gate: ten end-to-end criteria with pinned tolerances.
 
 Each test prints a single pass/fail line (bypassing capture) and asserts the
-same condition, so the verdicts are visible in any pytest run.
+same condition, so the verdicts are visible in any pytest run.  Criteria 4-9
+read the default sweep from the session fixture ``sweep_report`` in
+conftest.py.
 """
 
 import subprocess
@@ -9,7 +11,6 @@ import sys
 import time
 
 import numpy as np
-import pytest
 
 from ldglimit.asymptotics import fit_rate, projection_residual, rewritten_identity_residual
 from ldglimit.bulk import f_bulk, grad_f_bulk
@@ -20,7 +21,6 @@ from ldglimit.runner import (
     CHECK_TOLERANCES,
     hedgehog_corrector_exact,
     run_check_geometry,
-    run_sweep,
 )
 from ldglimit.asymptotics import corrector_a
 from ldglimit.tensor_algebra import norm, qtensor
@@ -32,17 +32,6 @@ def report(capsys, name, ok, detail):
     with capsys.disabled():
         print(f"\n[acceptance] {name}: {'PASS' if ok else 'FAIL'} ({detail})")
     assert ok, f"{name}: {detail}"
-
-
-@pytest.fixture(scope="session")
-def sweep_report():
-    """Criterion 4 configuration: defaults (near-constant eps=0.2 boundary,
-    unit material constants, 16^3 grid, ladder 0.16/0.08/0.04/0.02)."""
-    cfg = ExperimentConfig()
-    t0 = time.monotonic()
-    rep = run_sweep(cfg, write=False)
-    rep.elapsed = time.monotonic() - t0
-    return rep
 
 
 def test_criterion_1_geometry_identity_suite(capsys):

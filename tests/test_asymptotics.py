@@ -33,7 +33,6 @@ from ldglimit.fields import (
     edge_grad_squared,
     gradient_array,
     laplacian_array,
-    zeros_field,
 )
 from ldglimit.geometry import (
     MaterialParams,
@@ -42,6 +41,8 @@ from ldglimit.geometry import (
     uniaxial,
 )
 from ldglimit.tensor_algebra import I3, norm, qtensor
+
+from conftest import zeros_field
 
 GRID = GridSpec(dims=(10, 10, 10), box=((0.0, 4.0),) * 3)
 _IN = np.s_[1:-1]

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from ldglimit.config import ExperimentConfig
-from ldglimit.geometry import MaterialParams
-from ldglimit.fields import GridSpec
+from ldglimit.geometry import MaterialParams, harmonic_rhs_array
+from ldglimit.fields import GridSpec, gradient_array, laplacian_array
 from ldglimit.runner import (
     CHECK_TOLERANCES,
     RATE_QUANTITIES,
@@ -133,3 +133,71 @@ def test_run_sweep_eps_zero_yields_degenerate_fits():
     # the exact constant solution gives zero errors at every L
     assert all(row["l2_err"] < 1e-12 for row in report.rows)
     assert report.fits["l2_err"] is None
+
+
+def test_default_sweep_rungs_meet_residual(sweep_report):
+    """Every rung of the default sweep stops at an EL residual that the 1/L
+    scaling of the corrector diagnostics tolerates (the one-decrement stop
+    left 1.8e-6 and 2.0e-6)."""
+    for L, res in sweep_report.results_by_l.items():
+        assert res.converged
+        assert res.el_residual <= 1e-6, L
+    star = sweep_report.q_star_result
+    assert star.stop_reason == "residual"
+    assert star.el_residual <= sweep_report.config.residual_tol
+
+
+def test_run_sweep_starts_rungs_from_first_order_predictions(monkeypatch):
+    """Rung 0 starts at Q_* + L_0 a, rung k at Q_* + (L_k / L_{k-1})
+    (Q_{L_{k-1}} - Q_*); the boundary layer of every start is Q_*'s, bit
+    for bit."""
+    import ldglimit.runner as runner
+    from ldglimit.asymptotics import corrector_a
+
+    starts, results = [], []
+    real_solve = runner.solve_ldg
+
+    def recording_solve(init, p, cfg, log=None):
+        starts.append(init.copy())
+        results.append(real_solve(init, p, cfg, log=log))
+        return results[-1]
+
+    monkeypatch.setattr(runner, "solve_ldg", recording_solve)
+    cfg = tiny_config()
+    report = run_sweep(cfg, write=False)
+    q_star = report.q_star
+    ls = cfg.l_ladder
+    mask = q_star.boundary_mask()
+    a = corrector_a(q_star, MaterialParams(cfg.a2, cfg.b2, cfg.c2, L=ls[0]))
+    expected = [q_star.interior + ls[0] * a] + [
+        q_star.interior + (ls[k] / ls[k - 1])
+        * (results[k - 1].field.interior - q_star.interior)
+        for k in range(1, len(ls))
+    ]
+    for start, interior in zip(starts, expected):
+        assert np.array_equal(start.values[mask], q_star.values[mask])
+        assert np.array_equal(start.interior, interior)
+
+
+def test_run_sweep_logs_limit_solve():
+    """The sweep log carries one line on the limit solve: its stop reason,
+    iterations, tangential residual and the O(h^2) consistency residual of
+    the centered-gradient harmonic right-hand side."""
+    logs = []
+    report = run_sweep(tiny_config(), log=logs.append, write=False)
+    lines = [line for line in logs if line.startswith("q_star ")]
+    assert len(lines) == 1
+    fields = dict(kv.split("=") for kv in lines[0].split()[1:])
+    star = report.q_star_result
+    assert fields["stop"] == star.stop_reason == "residual"
+    assert int(fields["iterations"]) == star.iterations
+    assert float(fields["residual"]) == float(f"{star.el_residual:.6e}")
+    q = report.q_star
+    h = q.grid.h
+    rhs = harmonic_rhs_array(
+        q.interior, gradient_array(q.values, h), MaterialParams(1.0, 1.0, 1.0).s_plus
+    )
+    consistency = float(np.max(norm(laplacian_array(q.values, h) - rhs)))
+    assert float(fields["rhs_consistency"]) == float(f"{consistency:.6e}")
+    # it sits at the O(h^2) floor, far above the stationarity residual
+    assert consistency > 100.0 * star.el_residual

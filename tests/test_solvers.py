@@ -15,12 +15,18 @@ from ldglimit.errors import (
 from ldglimit.fields import (
     GridSpec,
     TensorField,
+    boundary_hedgehog,
     boundary_near_constant,
     gradient_array,
     laplacian_array,
-    zeros_field,
+    poisson_dirichlet,
 )
-from ldglimit.geometry import MaterialParams, harmonic_rhs_array, uniaxial
+from ldglimit.geometry import (
+    MaterialParams,
+    harmonic_rhs_array,
+    normal_component,
+    uniaxial,
+)
 from ldglimit.solvers import (
     SolveConfig,
     SolveResult,
@@ -29,6 +35,8 @@ from ldglimit.solvers import (
     solve_ldg,
 )
 from ldglimit.tensor_algebra import comm, norm, poly_min, qtensor
+
+from conftest import zeros_field
 
 GRID = GridSpec(dims=(8, 8, 8), box=((0.0, 4.0),) * 3)
 
@@ -197,29 +205,152 @@ def test_max_iters_stop_is_reported():
 
 def test_degenerate_retraction_is_a_rejected_step(monkeypatch, harmonic_run):
     """A trial step whose retraction meets a degenerate spectrum is halved
-    like an energy increase, and its iteration cannot end the flow: here the
-    step accepted after the rejection does not move, so its decrement is 0."""
+    like an energy increase, and its iteration cannot end the flow.  Here
+    the step accepted after the rejection does not move (decrement 0), nor
+    does the full step after it; were the first counted, the second would
+    be the stop's second small decrement."""
     init, p, cfg, reference = harmonic_run
     real_project = solvers.project_array
     calls = []
 
-    def project_once_degenerate(values, params, gap_tol=None):
+    def project_degenerate_then_still(values, params, gap_tol=None):
         calls.append(1)
         if len(calls) == 1:
             raise DegenerateSpectrum("injected")
-        if len(calls) == 2:
+        if len(calls) <= 3:
             return init.interior.copy(), None
         return real_project(values, params, gap_tol=gap_tol)
 
-    monkeypatch.setattr(solvers, "project_array", project_once_degenerate)
+    monkeypatch.setattr(solvers, "project_array", project_degenerate_then_still)
     res = solve_harmonic(init, p, cfg)
-    assert res.converged and res.stop_reason == "energy"
+    assert res.converged and res.stop_reason == "residual"
     assert res.backtracks >= 1
-    assert res.iterations > 1
-    assert res.energy_history[1] == res.energy_history[0]
+    assert res.iterations > 2
+    assert res.energy_history[2] == res.energy_history[1] == res.energy_history[0]
     assert np.all(np.diff(res.energy_history) <= 0.0)
     assert res.final_energy == pytest.approx(reference.final_energy, rel=1e-9)
     assert np.max(norm(poly_min(res.field.values, p.s_plus))) < 1e-10
+
+
+def test_single_small_decrement_does_not_stop(monkeypatch, ldg_run):
+    """A full step that decreases the energy by at most rel_energy_tol (here
+    a step that does not move) is not a stop on its own: BB steps give such
+    decrements far from a stationary point."""
+    init, p, cfg, reference = ldg_run
+    calls = []
+
+    def still_once(m):
+        calls.append(1)
+        return init.interior.copy() if len(calls) == 1 else qtensor(m)
+
+    monkeypatch.setattr(solvers, "qtensor", still_once)
+    res = solve_ldg(init, p, cfg)
+    assert res.energy_history[1] == res.energy_history[0]
+    assert res.iterations > 2
+    assert res.converged and res.stop_reason != "max_iters"
+    assert res.final_energy == pytest.approx(reference.final_energy, rel=1e-9)
+
+
+def test_floor_after_small_decrement_stops_on_energy(monkeypatch, ldg_run):
+    """A line search that halves dt into the floor right after a small
+    decrement ends the flow on "energy" with the last accepted field, where
+    without that decrement it raises StiffnessFailure."""
+    init, p, cfg, _ = ldg_run
+    calls = []
+
+    def still_then_exploding(m):
+        calls.append(1)
+        if len(calls) == 1:
+            return init.interior.copy()
+        return qtensor(m) + 50.0 * np.diag([2.0, -1.0, -1.0]) / np.sqrt(6)
+
+    monkeypatch.setattr(solvers, "qtensor", still_then_exploding)
+    res = solve_ldg(init, p, cfg)
+    assert res.stop_reason == "energy" and res.converged
+    assert res.iterations == 1
+    assert len(calls) > 30  # the second iteration halved dt into the floor
+    assert res.backtracks == len(calls) - 1
+    assert np.array_equal(res.field.values, init.values)
+    assert res.final_energy == res.energy_history[0] == res.energy_history[1]
+
+
+def test_floor_on_rounding_level_increase_stops_on_energy(monkeypatch):
+    """A line search that reaches the floor on an increase that rounding
+    alone could make stops on "energy" (the energy no longer resolves the
+    flow); an O(1) increase raises (test_stiffness_failure_paths)."""
+    from ldglimit.bulk import grad_f_bulk
+
+    p = make_params()
+    init = tilt_field(p)
+    h = init.grid.h
+    vel = laplacian_array(init.values, h) - grad_f_bulk(init.interior, p) / p.L
+    # every trial lands a hair uphill of the start, whatever dt
+    uphill = qtensor(init.interior - 1e-11 * vel)
+    monkeypatch.setattr(solvers, "qtensor", lambda m: uphill)
+    res = solve_ldg(init, p, SolveConfig())
+    assert res.stop_reason == "energy"
+    assert res.iterations == 0 and res.backtracks > 30
+    assert np.array_equal(res.field.values, init.values)
+
+    def objective(f):
+        return 0.5 * solvers.dirichlet_energy(f) + solvers.bulk_energy(f, p) / p.L
+
+    # the patched step is a real increase, at a level rounding can reach
+    rise = objective(init.with_interior(uphill)) - objective(init)
+    assert 0.0 < rise <= solvers._ROUNDING * objective(init)
+
+
+def test_harmonic_iterations_flat_in_grid_size():
+    """The H1 flow needs a grid-independent number of steps on the
+    near-constant boundary (the L2 flow took 40/83/145 iterations and
+    20/70/156 backtracks at 8^3/16^3/24^3) and stops on its tangential
+    residual."""
+    p = make_params()
+    for n in (8, 16, 24):
+        grid = GridSpec(dims=(n, n, n), box=((0.0, 8.0),) * 3)
+        res = solve_harmonic(boundary_near_constant(grid, p, 0.2), p, SolveConfig())
+        assert res.stop_reason == "residual"
+        assert res.iterations <= 10, n
+        # BB steps in the -lap metric: the identity metric backtracks
+        assert res.backtracks == 0, n
+        q = res.field.interior
+        lap = laplacian_array(res.field.values, grid.h)
+        tangential = lap - normal_component(lap, q, p.s_plus)
+        assert res.el_residual == float(np.max(norm(tangential)))
+        assert res.el_residual <= 1e-7
+
+
+def test_harmonic_hedgehog_8_energy_pinned():
+    """The 8^3 hedgehog on [-1, 1]^3 reaches the L2 flow's energy (finer
+    grids stop at the symmetric hedgehog, a saddle; see CHANGES.md)."""
+    p = make_params()
+    grid = GridSpec(dims=(8, 8, 8), box=((-1.0, 1.0),) * 3)
+    res = solve_harmonic(boundary_hedgehog(grid, p), p, SolveConfig())
+    assert res.converged
+    assert res.final_energy == pytest.approx(116.08435310621525, rel=1e-12)
+
+
+def test_poisson_dirichlet_matches_dense_solve():
+    """The DST Poisson solve inverts the 7-point -lap with zero Dirichlet
+    data on an anisotropic grid, componentwise."""
+    dims = (3, 4, 5)
+    h = np.array([0.3, 0.7, 0.45])
+
+    def second_difference(n, step):
+        return (2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)) / step**2
+
+    eye = [np.eye(n) for n in dims]
+    dense = (
+        np.kron(np.kron(second_difference(dims[0], h[0]), eye[1]), eye[2])
+        + np.kron(np.kron(eye[0], second_difference(dims[1], h[1])), eye[2])
+        + np.kron(np.kron(eye[0], eye[1]), second_difference(dims[2], h[2]))
+    )
+    rhs = np.random.default_rng(7).normal(size=dims + (3, 3))
+    expected = np.linalg.solve(dense, rhs.reshape(60, 9)).reshape(rhs.shape)
+    u = poisson_dirichlet(rhs, h)
+    assert np.max(np.abs(u - expected)) <= 1e-12 * np.max(np.abs(expected))
+    padded = np.pad(u, ((1, 1),) * 3 + ((0, 0),) * 2)
+    assert np.max(np.abs(-laplacian_array(padded, h) - rhs)) < 1e-12
 
 
 @pytest.mark.parametrize("solve", [solve_ldg, solve_harmonic])
