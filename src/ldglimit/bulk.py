@@ -6,7 +6,15 @@ from __future__ import annotations
 import numpy as np
 
 from .geometry import MaterialParams
-from .tensor_algebra import I3, trace2, trace3
+from .tensor_algebra import (
+    dev_square_s0,
+    dot_s0,
+    from_s0,
+    s0_planes,
+    to_s0,
+    trace2,
+    trace3,
+)
 
 
 def f_bulk(q: np.ndarray, p: MaterialParams) -> np.ndarray:
@@ -32,12 +40,16 @@ def f_bulk_shifted(q: np.ndarray, p: MaterialParams) -> np.ndarray:
     return f_bulk(q, p) - f_bulk_min(p)
 
 
+def grad_f_bulk_s0(c: np.ndarray, p: MaterialParams) -> np.ndarray:
+    """Gradient of the bulk density w.r.t. the Frobenius product on S0, in
+    S0 coordinates: -a2 c - b2 coords(dev Q^2) + c2 |c|^2 c.  The deviatoric
+    part is the Lagrange-multiplier term of the tracelessness constraint.
+    Computed, and returned, on contiguous component planes (s0_planes)."""
+    c = s0_planes(c)
+    return (p.c2 * dot_s0(c, c) - p.a2)[..., None] * c - p.b2 * dev_square_s0(c)
+
+
 def grad_f_bulk(q: np.ndarray, p: MaterialParams) -> np.ndarray:
-    """Gradient of the bulk density w.r.t. the Frobenius product on S0.
-
-    Includes the Lagrange-multiplier term for the tracelessness constraint,
-    so the result is traceless symmetric.
-    """
-    t2 = trace2(q)[..., None, None]
-    return -p.a2 * q - p.b2 * (q @ q - t2 / 3.0 * I3) + p.c2 * t2 * q
-
+    """The bulk gradient of grad_f_bulk_s0 for Q-tensors (..., 3, 3), as
+    exactly symmetric traceless matrices."""
+    return from_s0(grad_f_bulk_s0(to_s0(q), p))

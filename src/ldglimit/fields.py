@@ -2,7 +2,8 @@
 of Dirichlet boundary nodes, second-order finite-difference calculus,
 energies, norms and boundary-data generators.
 
-Grid layout: values has shape (n1+2, n2+2, n3+2, 3, 3); indices 0 and n+1
+Grid layout: values has shape (n1+2, n2+2, n3+2, 3, 3), or (n1+2, n2+2,
+n3+2, 5) for the S0 coordinates the LdG solver works on; indices 0 and n+1
 per axis are the frozen boundary layer, nodes sit at lo + i*h.
 """
 
@@ -68,7 +69,7 @@ class TensorField:
     data and must not be modified by solvers."""
 
     grid: GridSpec
-    values: np.ndarray  # (n1+2, n2+2, n3+2, 3, 3)
+    values: np.ndarray  # (n1+2, n2+2, n3+2, 3, 3) or (n1+2, n2+2, n3+2, 5)
 
     def copy(self) -> "TensorField":
         return TensorField(self.grid, self.values.copy())
@@ -192,25 +193,33 @@ def dirichlet_energy(f: TensorField) -> float:
 
     Per-axis forward differences on edges, weighted by transverse trapezoid
     weights; exact for linear fields, and its gradient w.r.t. interior nodes
-    is the 7-point Laplacian.
+    is the 7-point Laplacian.  The squared norm contracts every trailing
+    axis, so S0-coordinate fields (..., 5) give the same energy as their
+    matrices.
     """
     v = f.values
     h = f.grid.h
-    vol = f.grid.cell_volume()
-    weights = [_trapezoid_weights_1d(n) for n in f.grid.shape]
     total = 0.0
     for axis in range(3):
-        d = np.diff(v, axis=axis) / h[axis]
-        e2 = np.einsum("xyzij,xyzij->xyz", d, d)
-        w_perp = np.ones(e2.shape)
-        for other in range(3):
-            if other == axis:
-                continue
-            shape = [1, 1, 1]
-            shape[other] = -1
-            w_perp = w_perp * weights[other].reshape(shape)
-        total += float(np.sum(w_perp * e2)) * vol
-    return total
+        d = np.diff(v, axis=axis)
+        # the weights are 1/2 on each transverse boundary face (1/4 where two
+        # meet): the full sum minus half of each face pair plus a quarter
+        # of their four edges
+        a, b = (other for other in range(3) if other != axis)
+        faces_a = d.take([0, -1], axis=a)
+        faces_b = d.take([0, -1], axis=b)
+        edges = faces_a.take([0, -1], axis=b)
+        weighted = (
+            _sum_squares(d)
+            - 0.5 * (_sum_squares(faces_a) + _sum_squares(faces_b))
+            + 0.25 * _sum_squares(edges)
+        )
+        total += weighted / h[axis] ** 2
+    return total * f.grid.cell_volume()
+
+
+def _sum_squares(x: np.ndarray) -> float:
+    return float(np.sum(x * x))
 
 
 def bulk_energy(f: TensorField, p: MaterialParams) -> float:

@@ -1,6 +1,7 @@
 """Gradient-flow minimization: explicit monotone flow for the elastic-plus-
-bulk energy over unconstrained traceless fields, and projected H1 gradient
-flow for the Dirichlet energy over manifold-valued fields.
+bulk energy over unconstrained traceless fields (in S0 coordinates), and
+projected H1 gradient flow for the Dirichlet energy over manifold-valued
+fields.
 
 Both solvers run one shared loop that freezes the boundary layer, proposes
 Barzilai-Borwein steps, enforces energy monotonicity by a halve-on-increase
@@ -9,11 +10,11 @@ line search, and reports the discrete Euler-Lagrange residual in max norm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bulk import grad_f_bulk
+from .bulk import grad_f_bulk, grad_f_bulk_s0
 from .errors import (
     DegenerateSpectrum,
     LdglimitError,
@@ -29,7 +30,15 @@ from .fields import (
     poisson_dirichlet,
 )
 from .geometry import MaterialParams, normal_component, project_array
-from .tensor_algebra import norm, poly_min, qtensor
+from .tensor_algebra import (
+    dev_square_s0,
+    dot_s0,
+    from_s0,
+    norm,
+    poly_min,
+    s0_planes,
+    to_s0,
+)
 
 _DT_FLOOR = 1e-12
 _DT_CAP = 1000.0  # largest proposed step, in units of the first step dt0
@@ -193,14 +202,67 @@ def _monotone_flow(
     )
 
 
+def _ldg_velocity(c: TensorField, p: MaterialParams) -> np.ndarray:
+    """lap(Q) - (bulk gradient) / L at the interior nodes of an S0-coordinate
+    field: minus the L2 gradient of the energy / L per cell volume."""
+    return laplacian_array(c.values, c.grid.h) - grad_f_bulk_s0(c.interior, p) / p.L
+
+
+def _start_relative_energy(start: TensorField, p: MaterialParams):
+    """increment(c) = E(c) - E(start) for S0-coordinate fields c equal to
+    start on the boundary layer, E = 0.5 * dirichlet_energy + bulk_energy / L.
+
+    With d = c - start (zero on the boundary layer), c0 and v0 the
+    coordinates and the velocity at the start, and sums over interior nodes:
+
+        E(c) - E(start) = dirichlet_energy(d) / 2 - vol <v0, d>
+                          + (vol / L) sum R,
+        R = (c2 |c0|^2 - a2) |d|^2 / 2 - b2 <dev_square_s0(d), c0 + d/3>
+            + (c2 / 4) (2 <c0, d> + |d|^2)^2,
+
+    the Dirichlet energy being quadratic and R the bulk density's change
+    beyond first order (its cubic part expands tr((Q0 + D)^3)).  Every term
+    scales with the step, so decrements far below the rounding of E are
+    resolved: forming E(c) and subtracting loses them to the cancellation of
+    the bulk density against its minimum, times 1/L.  The increment of the
+    start itself is exactly 0 and needs no evaluation.
+    """
+    vol = start.grid.cell_volume()
+    c0 = s0_planes(start.interior)
+    v0 = s0_planes(_ldg_velocity(start, p))
+    alpha = 0.5 * (p.c2 * dot_s0(c0, c0) - p.a2)
+
+    def increment(c: TensorField) -> float:
+        d = c.values - start.values
+        if not d.any():
+            return 0.0
+        di = s0_planes(d[1:-1, 1:-1, 1:-1])
+        dd = dot_s0(di, di)
+        u = 2.0 * dot_s0(c0, di) + dd
+        cubic = dot_s0(dev_square_s0(di), c0 + di / 3.0)
+        bulk = float(np.sum(alpha * dd - p.b2 * cubic + 0.25 * p.c2 * u * u))
+        return (
+            0.5 * dirichlet_energy(TensorField(c.grid, d))
+            - vol * float(np.sum(v0 * di))
+            + vol * bulk / p.L
+        )
+
+    return increment
+
+
 def solve_ldg(
     init: TensorField, p: MaterialParams, cfg: SolveConfig, log=None
 ) -> SolveResult:
     """Explicit monotone gradient flow of the shifted energy divided by L.
 
-    Stationary points satisfy the discrete Euler-Lagrange equation
-    L * lap(Q) = bulk gradient.  The recorded energy sequence is
-    non-increasing on accepted steps by construction.
+    The flow runs on the S0 coordinates of the field (tensor_algebra.to_s0),
+    so a step needs no re-projection, and measures every trial's energy as
+    E(start) + _start_relative_energy, E(start) evaluated once on the
+    matrix start.  Stationary points satisfy the discrete Euler-Lagrange
+    equation L * lap(Q) = bulk gradient.  The recorded energy sequence is
+    non-increasing on accepted steps by construction.  The returned field is
+    init with the solved interior (init itself when no step moved it), and
+    el_residual is the residual of that field.
     """
     s = p.s_plus
     if _boundary_residual(init, s) > 1e-8 * max(1.0, s**2):
@@ -210,21 +272,30 @@ def solve_ldg(
     dt0 = cfg.dt_safety * min(
         float(np.min(h)) ** 2 / 6.0, p.L / bulk_lipschitz_bound(p)
     )
-
-    def objective(fld: TensorField) -> float:
-        # shifted energy / L, per unit cell volume kept implicit
-        return 0.5 * dirichlet_energy(fld) + bulk_energy(fld, p) / p.L
+    start = TensorField(init.grid, to_s0(init.values))
+    # shifted energy / L, per unit cell volume kept implicit
+    e0 = 0.5 * dirichlet_energy(init) + bulk_energy(init, p) / p.L
+    increment = _start_relative_energy(start, p)
 
     def direction(fld: TensorField):
-        vel = laplacian_array(fld.values, h) - grad_f_bulk(fld.interior, p) / p.L
-        return vel, vel, float(np.max(norm(vel)))
+        vel = _ldg_velocity(fld, p)
+        return vel, vel, float(np.sqrt(np.max(dot_s0(vel, vel))))
 
-    return _monotone_flow(
-        init, cfg, dt0, objective, direction,
-        retract=qtensor,
+    res = _monotone_flow(
+        start, cfg, dt0,
+        objective=lambda fld: e0 + increment(fld),
+        direction=direction,
+        retract=lambda c: c,  # every coordinate vector is in S0
         failure="time step underflow; bulk term too stiff for this grid",
         log=log,
     )
+    # from_s0(to_s0(Q)) rounds, so a solve that never moved returns init
+    if np.array_equal(res.field.values, start.values):
+        q = init.copy()
+    else:
+        q = init.with_interior(from_s0(res.field.interior))
+    vel = laplacian_array(q.values, h) - grad_f_bulk(q.interior, p) / p.L
+    return replace(res, field=q, el_residual=float(np.max(norm(vel))))
 
 
 def solve_harmonic(

@@ -3,7 +3,8 @@
 All functions accept arrays of shape (..., 3, 3) and broadcast over leading
 axes.  Q-tensors are plain ndarrays; `qtensor()` re-projects onto the
 symmetric traceless subspace after additive operations so trace drift stays
-at rounding level.
+at rounding level.  The `*_s0` functions work on the five coordinates of a
+Q-tensor in an orthonormal basis of that subspace, shape (..., 5), instead.
 """
 
 from __future__ import annotations
@@ -27,6 +28,69 @@ def dev(m: np.ndarray) -> np.ndarray:
 def qtensor(m: np.ndarray) -> np.ndarray:
     """Project m onto symmetric traceless matrices (S0)."""
     return dev(sym(m))
+
+
+_R2 = float(np.sqrt(0.5))
+_R6 = float(np.sqrt(1.0 / 6.0))
+_SQRT2 = float(np.sqrt(2.0))
+
+
+def to_s0(m: np.ndarray) -> np.ndarray:
+    """Coordinates, shape (..., 5), of qtensor(m) in the orthonormal basis
+    diag(-1, -1, 2)/sqrt(6), diag(1, -1, 0)/sqrt(2) and
+    (e_i e_j^T + e_j e_i^T)/sqrt(2) for (i, j) = (0, 1), (0, 2), (1, 2) of
+    S0.  Frobenius products of Q-tensors are the Euclidean products of their
+    coordinates, and every coordinate vector is a traceless matrix."""
+    q = qtensor(m)
+    c = np.empty(q.shape[:-2] + (5,))
+    c[..., 0] = (2.0 * q[..., 2, 2] - q[..., 0, 0] - q[..., 1, 1]) * _R6
+    c[..., 1] = (q[..., 0, 0] - q[..., 1, 1]) * _R2
+    c[..., 2] = _SQRT2 * q[..., 0, 1]
+    c[..., 3] = _SQRT2 * q[..., 0, 2]
+    c[..., 4] = _SQRT2 * q[..., 1, 2]
+    return c
+
+
+def from_s0(c: np.ndarray) -> np.ndarray:
+    """The exactly symmetric matrices, shape (..., 3, 3), with coordinates c
+    (the inverse of to_s0 on S0)."""
+    a = _R6 * c[..., 0]
+    b = _R2 * c[..., 1]
+    q = np.empty(c.shape[:-1] + (3, 3))
+    q[..., 0, 0] = b - a
+    q[..., 1, 1] = -a - b
+    q[..., 2, 2] = 2.0 * a
+    q[..., 0, 1] = q[..., 1, 0] = _R2 * c[..., 2]
+    q[..., 0, 2] = q[..., 2, 0] = _R2 * c[..., 3]
+    q[..., 1, 2] = q[..., 2, 1] = _R2 * c[..., 4]
+    return q
+
+
+def dot_s0(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Euclidean product of S0 coordinates over the last axis: the Frobenius
+    product of the matrices."""
+    return np.einsum("...k,...k->...", a, b)
+
+
+def s0_planes(c: np.ndarray) -> np.ndarray:
+    """c stored as contiguous component planes: a view, with c's shape and
+    values, of a new (5, ...) array.  Elementwise kernels on the planes
+    c[..., k] then read and write contiguous memory."""
+    return np.moveaxis(np.moveaxis(c, -1, 0).copy(), 0, -1)
+
+
+def dev_square_s0(c: np.ndarray) -> np.ndarray:
+    """Coordinates of dev(Q^2) for the Q with coordinates c; <dev(Q^2), c> is
+    tr(Q^3).  Elementwise on the planes c[..., k]; the result is stored as
+    planes (see s0_planes)."""
+    c0, c1, c2, c3, c4 = np.moveaxis(c, -1, 0)
+    out = np.empty((5,) + c.shape[:-1])
+    out[0] = _R6 * (c0 * c0 - c1 * c1 - c2 * c2 + 0.5 * (c3 * c3 + c4 * c4))
+    out[1] = 0.5 * _R2 * (c3 * c3 - c4 * c4) - 2.0 * _R6 * c0 * c1
+    out[2] = _R2 * c3 * c4 - 2.0 * _R6 * c0 * c2
+    out[3] = c3 * (_R6 * c0 + _R2 * c1) + _R2 * c2 * c4
+    out[4] = c4 * (_R6 * c0 - _R2 * c1) + _R2 * c2 * c3
+    return np.moveaxis(out, 0, -1)
 
 
 def frobenius(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -4,9 +4,15 @@ density with squared distance to the limit manifold."""
 import numpy as np
 import pytest
 
-from ldglimit.bulk import f_bulk, f_bulk_min, f_bulk_shifted, grad_f_bulk
-from ldglimit.geometry import project_array, uniaxial
-from ldglimit.tensor_algebra import norm, qtensor
+from ldglimit.bulk import (
+    f_bulk,
+    f_bulk_min,
+    f_bulk_shifted,
+    grad_f_bulk,
+    grad_f_bulk_s0,
+)
+from ldglimit.geometry import MaterialParams, project_array, uniaxial
+from ldglimit.tensor_algebra import I3, from_s0, norm, qtensor, to_s0, trace2
 from conftest import random_directors, random_qtensors
 
 
@@ -46,6 +52,19 @@ def test_grad_f_bulk_traceless_symmetric(rng, unit_params):
     # vanishes on the manifold (critical points)
     q = uniaxial(random_directors(rng, 100), unit_params.s_plus)
     assert np.max(norm(grad_f_bulk(q, unit_params))) < 1e-12
+
+
+def test_grad_f_bulk_s0_matches_matrix_formula(rng):
+    """The coordinate gradient and its matrix adapter grad_f_bulk agree with
+    the matrix formula -a2 Q - b2 (Q^2 - tr(Q^2) I/3) + c2 tr(Q^2) Q on 10^4
+    random S0 points."""
+    p = MaterialParams(0.7, 1.3, 1.9)
+    q = random_qtensors(rng, 10000, scale=1.5)
+    t2 = trace2(q)[..., None, None]
+    oracle = -p.a2 * q - p.b2 * (q @ q - t2 / 3.0 * I3) + p.c2 * t2 * q
+    bound = 1e-14 * (1.0 + norm(q)) ** 3
+    assert np.all(norm(from_s0(grad_f_bulk_s0(to_s0(q), p)) - oracle) <= bound)
+    assert np.all(norm(grad_f_bulk(q, p) - oracle) <= bound)
 
 
 def _fd_grad(q, p, step=1e-6):

@@ -197,16 +197,63 @@ def test_every_export_resolves():
         assert getattr(ldglimit, name) is not None, name
 
 
-def test_benchmark_traced_names_resolve(monkeypatch):
-    """Every module.function the benchmark traces exists in the package, so
-    renaming or deleting one shows here and not only in a traced run."""
+def _benchmark_workloads(monkeypatch):
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     # dataclasses looks the defining module up while building its classes
     monkeypatch.setitem(sys.modules, spec.name, workloads)
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+def test_benchmark_traced_names_resolve(monkeypatch):
+    """Every module.function the benchmark traces exists in the package, so
+    renaming or deleting one shows here and not only in a traced run."""
+    workloads = _benchmark_workloads(monkeypatch)
     assert workloads.TRACED
     for name in workloads.TRACED:
         module, function = name.split(".")
         assert callable(getattr(getattr(ldglimit, module), function, None)), name
+
+
+def test_benchmark_ldg_kernels_called_and_energy_evaluations_counted(
+    monkeypatch, tmp_path
+):
+    """The traced ldg workloads fail unless every function of perfbench's
+    _LDG_KERNELS is called, and they count the energy evaluations of a
+    solve as its fields.dirichlet_energy calls (backtracks = evaluations -
+    accepted steps - 1).  Both hold for solve-ldg, wrapping each kernel in
+    every ldglimit module that binds it, as the benchmark's tracer does."""
+    import ldglimit.runner as runner
+
+    workloads = _benchmark_workloads(monkeypatch)
+    calls = dict.fromkeys(workloads._LDG_KERNELS, 0)
+    solves = []  # (dirichlet_energy calls inside, result) per solve_ldg
+    modules = [m for key, m in list(sys.modules.items())
+               if m is not None and key.split(".")[0] == "ldglimit"]
+    for name in workloads._LDG_KERNELS:
+        module, function = name.split(".")
+        original = getattr(getattr(ldglimit, module), function)
+
+        def counted(*args, _name=name, _fn=original, **kwargs):
+            calls[_name] += 1
+            before = calls["fields.dirichlet_energy"]
+            out = _fn(*args, **kwargs)
+            if _name == "solvers.solve_ldg":
+                solves.append((calls["fields.dirichlet_energy"] - before, out))
+            return out
+
+        for mod in modules:
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counted)
+
+    cfg = tiny_config(dims=(8, 8, 8), box_hi=8.0, l_ladder=(0.16,),
+                      output_dir=str(tmp_path))
+    runner.run_solve(cfg, "solve-ldg")
+    assert [name for name, n in calls.items() if n == 0] == []
+    (evals, res), = solves
+    accepted = len(res.energy_history) - 1
+    assert accepted >= 1 and res.backtracks >= 1
+    assert evals == 1 + accepted + res.backtracks

@@ -34,7 +34,7 @@ from ldglimit.solvers import (
     solve_harmonic,
     solve_ldg,
 )
-from ldglimit.tensor_algebra import comm, norm, poly_min, qtensor
+from ldglimit.tensor_algebra import comm, norm, poly_min, qtensor, to_s0
 
 from conftest import zeros_field
 
@@ -47,6 +47,17 @@ def make_params(L=0.1):
 
 def tilt_field(p, eps=0.2):
     return boundary_near_constant(GRID, p, eps)
+
+
+def patch_ldg_step(monkeypatch, step):
+    """Make step(c) the trial interior of every flow: solve_ldg's retraction,
+    the identity on S0 coordinates, gets c = interior + dt * velocity."""
+    flow = solvers._monotone_flow
+
+    def patched(*args, **kwargs):
+        return flow(*args, **{**kwargs, "retract": step})
+
+    monkeypatch.setattr(solvers, "_monotone_flow", patched)
 
 
 def test_solve_config_validation():
@@ -239,11 +250,11 @@ def test_single_small_decrement_does_not_stop(monkeypatch, ldg_run):
     init, p, cfg, reference = ldg_run
     calls = []
 
-    def still_once(m):
+    def still_once(c):
         calls.append(1)
-        return init.interior.copy() if len(calls) == 1 else qtensor(m)
+        return to_s0(init.interior) if len(calls) == 1 else c
 
-    monkeypatch.setattr(solvers, "qtensor", still_once)
+    patch_ldg_step(monkeypatch, still_once)
     res = solve_ldg(init, p, cfg)
     assert res.energy_history[1] == res.energy_history[0]
     assert res.iterations > 2
@@ -257,14 +268,15 @@ def test_floor_after_small_decrement_stops_on_energy(monkeypatch, ldg_run):
     without that decrement it raises StiffnessFailure."""
     init, p, cfg, _ = ldg_run
     calls = []
+    kick = to_s0(50.0 * np.diag([2.0, -1.0, -1.0]) / np.sqrt(6))
 
-    def still_then_exploding(m):
+    def still_then_exploding(c):
         calls.append(1)
         if len(calls) == 1:
-            return init.interior.copy()
-        return qtensor(m) + 50.0 * np.diag([2.0, -1.0, -1.0]) / np.sqrt(6)
+            return to_s0(init.interior)
+        return c + kick
 
-    monkeypatch.setattr(solvers, "qtensor", still_then_exploding)
+    patch_ldg_step(monkeypatch, still_then_exploding)
     res = solve_ldg(init, p, cfg)
     assert res.stop_reason == "energy" and res.converged
     assert res.iterations == 1
@@ -286,7 +298,7 @@ def test_floor_on_rounding_level_increase_stops_on_energy(monkeypatch):
     vel = laplacian_array(init.values, h) - grad_f_bulk(init.interior, p) / p.L
     # every trial lands a hair uphill of the start, whatever dt
     uphill = qtensor(init.interior - 1e-11 * vel)
-    monkeypatch.setattr(solvers, "qtensor", lambda m: uphill)
+    patch_ldg_step(monkeypatch, lambda c: to_s0(uphill))
     res = solve_ldg(init, p, SolveConfig())
     assert res.stop_reason == "energy"
     assert res.iterations == 0 and res.backtracks > 30
@@ -364,7 +376,7 @@ def test_non_finite_start_raises_at_once(monkeypatch, solve):
     def no_step(*args, **kwargs):
         raise AssertionError("the flow tried a step")
 
-    monkeypatch.setattr(solvers, "qtensor", no_step)
+    patch_ldg_step(monkeypatch, no_step)
     monkeypatch.setattr(solvers, "project_array", no_step)
     with pytest.raises(LdglimitError, match="starting energy is not finite"):
         solve(init, p, SolveConfig(max_iters=100))
@@ -388,10 +400,8 @@ def test_stiffness_failure_paths(monkeypatch):
 
     # force every candidate step to increase the energy so the line search
     # halves dt into the floor
-    def exploding_qtensor(m):
-        return qtensor(m) + 50.0 * np.diag([2.0, -1.0, -1.0]) / np.sqrt(6)
-
-    monkeypatch.setattr(solvers, "qtensor", exploding_qtensor)
+    kick = to_s0(50.0 * np.diag([2.0, -1.0, -1.0]) / np.sqrt(6))
+    patch_ldg_step(monkeypatch, lambda c: c + kick)
     with pytest.raises(StiffnessFailure):
         solve_ldg(init, p, cfg)
     monkeypatch.undo()
@@ -411,3 +421,23 @@ def test_stiffness_failure_paths(monkeypatch):
     monkeypatch.setattr(solvers, "project_array", bad_project)
     with pytest.raises(StiffnessFailure):
         solve_harmonic(init, p, cfg)
+
+
+def test_start_relative_energy_resolves_converged_decrements(sweep_report):
+    """At the converged L = 0.02 rung of the default sweep, a step of t = 1e-4
+    along the velocity changes the energy by about 1e-16 relative.  The
+    difference of two 0.5 * dirichlet_energy + bulk_energy / L evaluations
+    is off by more than a factor of 10 there (the bulk density cancels
+    against its minimum, times 1/L); the start-relative increment the LdG
+    flow measures matches the first-order decrement -t vol |v|^2."""
+    L = 0.02
+    cfg = sweep_report.config
+    p = MaterialParams(cfg.a2, cfg.b2, cfg.c2, L=L)
+    field = sweep_report.fields_by_l[L]
+    start = TensorField(field.grid, to_s0(field.values))
+    v = solvers._ldg_velocity(start, p)
+    t = 1e-4
+    increment = solvers._start_relative_energy(start, p)
+    change = increment(start.with_interior(start.interior + t * v))
+    first_order = -t * field.grid.cell_volume() * float(np.sum(v * v))
+    assert abs(change / first_order - 1.0) <= 1e-2

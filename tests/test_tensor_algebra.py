@@ -10,13 +10,16 @@ from ldglimit.tensor_algebra import (
     anticomm,
     comm,
     dev,
+    dev_square_s0,
     eigh_descending,
     frobenius,
+    from_s0,
     matmul_sum,
     norm,
     poly_min,
     qtensor,
     sym,
+    to_s0,
     trace2,
     trace3,
 )
@@ -165,3 +168,48 @@ def test_trace3_and_matmul_sum_einsum_oracle(rng):
     q = g[1]
     ref3 = np.einsum("...ij,...jk,...ki->...", q, q, q)
     assert np.max(np.abs(trace3(q) - ref3)) < 1e-13
+
+
+def _s0_basis():
+    off = []
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        e = np.zeros((3, 3))
+        e[i, j] = e[j, i] = 1.0 / np.sqrt(2.0)
+        off.append(e)
+    return [np.diag([-1.0, -1.0, 2.0]) / np.sqrt(6.0),
+            np.diag([1.0, -1.0, 0.0]) / np.sqrt(2.0), *off]
+
+
+def test_s0_coordinates_oracles(rng):
+    """to_s0 reads the Frobenius coordinates of qtensor(m) in the orthonormal
+    basis of S0, also for non-symmetric m; from_s0 inverts it with exactly
+    symmetric matrices, and Euclidean norms of coordinates are Frobenius
+    norms."""
+    basis = _s0_basis()
+    gram = np.array([[frobenius(a, b) for b in basis] for a in basis])
+    assert np.max(np.abs(gram - np.eye(5))) < 1e-15
+    m = rng.normal(scale=2.0, size=(10000, 3, 3))
+    q = qtensor(m)
+    c = to_s0(m)
+    ref = np.stack([frobenius(q, b) for b in basis], axis=-1)
+    scale = norm(q)
+    assert np.all(np.max(np.abs(c - ref), axis=-1) <= 1e-15 * scale)
+    back = from_s0(c)
+    assert np.all(norm(back - q) <= 1e-15 * scale)
+    assert np.array_equal(back, np.swapaxes(back, -1, -2))
+    assert np.max(np.abs(np.trace(back, axis1=-2, axis2=-1)) / scale) < 1e-15
+    assert np.all(np.abs(np.sum(c * c, axis=-1) - trace2(q)) <= 1e-15 * scale**2)
+
+
+def test_s0_cubic_invariant_matches_matrix_oracle(rng):
+    """dev_square_s0 gives the coordinates of dev(Q^2), so <dev(Q^2), c> is
+    tr(Q^3), on 10^4 random S0 points; strided and contiguous inputs agree
+    exactly."""
+    q = random_qtensors(rng, 10000, scale=1.5)
+    c = to_s0(q)
+    k = dev_square_s0(c)
+    scale = norm(q)
+    assert np.all(norm(from_s0(k) - dev(q @ q)) <= 1e-14 * scale**2)
+    assert np.all(np.abs(np.sum(k * c, axis=-1) - trace3(q)) <= 1e-14 * scale**3)
+    lattice = np.stack([c[:5000], c[5000:]], axis=1)  # (5000, 2, 5)
+    assert np.array_equal(dev_square_s0(lattice[:, 1]), k[5000:])
