@@ -79,9 +79,15 @@ def compute_xyz(q_l: TensorField, p: MaterialParams) -> DiagnosticFields:
     square, so the diagnostics inherit the stencil's exact product rule and
     carry no O(h^2) floor of their own.
     """
+    return _diagnostics(q_l, p, edge_grad_squared(q_l.values, q_l.grid.h))
+
+
+def _diagnostics(
+    q_l: TensorField, p: MaterialParams, gsq: np.ndarray
+) -> DiagnosticFields:
+    """compute_xyz on the edge-based squared gradient gsq of q_l."""
     s = p.s_plus
     q = q_l.interior
-    gsq = edge_grad_squared(q_l.values, q_l.grid.h)
     gn2 = np.trace(gsq, axis1=-2, axis2=-1)
     k = _coupling(p)
 
@@ -109,7 +115,7 @@ def rewritten_identity_residual(q_l: TensorField, p: MaterialParams) -> np.ndarr
     lap = laplacian_array(q_l.values, q_l.grid.h)
     gsq = edge_grad_squared(q_l.values, q_l.grid.h)
     rhs = -(4.0 / s**2) * ((q_l.interior - (s / 6.0) * I3) @ gsq)
-    r = compute_xyz(q_l, p).r_field
+    r = _diagnostics(q_l, p, gsq).r_field
     return norm(lap - rhs - r)
 
 

@@ -160,19 +160,25 @@ def edge_grad_squared(values: np.ndarray, h: np.ndarray) -> np.ndarray:
     lap(Q^2) = Q lap(Q) + lap(Q) Q + 2 * edge_grad_squared(Q), which the
     centered-difference square satisfies only to O(h^2).
     """
-    c = values[_IN, _IN, _IN]
-    out = (
-        (values[2:, _IN, _IN] - c) @ (values[2:, _IN, _IN] - c)
-        + (c - values[:-2, _IN, _IN]) @ (c - values[:-2, _IN, _IN])
-    ) / (2.0 * h[0] ** 2)
-    out += (
-        (values[_IN, 2:, _IN] - c) @ (values[_IN, 2:, _IN] - c)
-        + (c - values[_IN, :-2, _IN]) @ (c - values[_IN, :-2, _IN])
-    ) / (2.0 * h[1] ** 2)
-    out += (
-        (values[_IN, _IN, 2:] - c) @ (values[_IN, _IN, 2:] - c)
-        + (c - values[_IN, _IN, :-2]) @ (c - values[_IN, _IN, :-2])
-    ) / (2.0 * h[2] ** 2)
+    out = _edge_square_mean(values, h, 0)
+    out += _edge_square_mean(values, h, 1)
+    out += _edge_square_mean(values, h, 2)
+    return out
+
+
+def _edge_square_mean(values: np.ndarray, h: np.ndarray, axis: int) -> np.ndarray:
+    """Mean of the squared differences on the two edges along axis at each
+    interior node, over h^2: one difference and one square per edge."""
+    inner = [_IN, _IN, _IN]
+    inner[axis] = slice(None)
+    # rebinding drops the differences once squared: at most two edge-sized
+    # arrays are alive at a time
+    sq = np.diff(values[tuple(inner)], axis=axis)
+    sq = sq @ sq
+    fwd, bwd = [slice(None)] * 3, [slice(None)] * 3
+    fwd[axis], bwd[axis] = slice(1, None), slice(None, -1)
+    out = sq[tuple(fwd)] + sq[tuple(bwd)]
+    out /= 2.0 * h[axis] ** 2
     return out
 
 
@@ -315,22 +321,27 @@ _CSV_BLOCK_ROWS = 512
 def save_field_csv(f: TensorField, path) -> None:
     """Write node coordinates plus the 5 independent components, C (row
     major, z fastest) node order; 17 significant digits."""
-    coords = f.grid.coords().reshape(-1, 3)
-    v = f.values.reshape(-1, 3, 3)
-    row = ",".join(["%.17g"] * 8) + "\n"
+    axes = [["%.17g" % c for c in f.grid.axis_coords(a)] for a in range(3)]
+    # each (y, z) pair's row after x, with the component fields to fill in
+    tail = ",".join(["%.17g"] * 5)
+    yz = [f"{y},{z},{tail}" for y in axes[1] for z in axes[2]]
     with open(path, "w", newline="") as fh:
         fh.write(f"# dims={f.grid.dims[0]},{f.grid.dims[1]},{f.grid.dims[2]}\n")
         box = ",".join(f"{b:.17g}" for pair in f.grid.box for b in pair)
         fh.write(f"# box={box}\n")
         fh.write(CSV_HEADER + "\n")
         # one format call per block of rows keeps the strings small
-        for lo in range(0, len(v), _CSV_BLOCK_ROWS):
-            rows = slice(lo, lo + _CSV_BLOCK_ROWS)
-            block = np.column_stack([
-                coords[rows], v[rows, 0, 0], v[rows, 1, 1], v[rows, 0, 1],
-                v[rows, 0, 2], v[rows, 1, 2],
-            ])
-            fh.write(row * len(block) % tuple(block.ravel().tolist()))
+        for x, slab in zip(axes[0], f.values):
+            v = slab.reshape(-1, 3, 3)
+            sep = f"\n{x},"
+            for lo in range(0, len(v), _CSV_BLOCK_ROWS):
+                rows = slice(lo, lo + _CSV_BLOCK_ROWS)
+                block = np.column_stack([
+                    v[rows, 0, 0], v[rows, 1, 1], v[rows, 0, 1],
+                    v[rows, 0, 2], v[rows, 1, 2],
+                ])
+                row = f"{x}," + sep.join(yz[rows]) + "\n"
+                fh.write(row % tuple(block.ravel().tolist()))
 
 
 def load_field_csv(path) -> TensorField:
@@ -342,9 +353,8 @@ def load_field_csv(path) -> TensorField:
     b = [float(x) for x in box_line.split("=", 1)[1].split(",")]
     box = ((b[0], b[1]), (b[2], b[3]), (b[4], b[5]))
     grid = GridSpec(dims=dims, box=box)
-    data = np.loadtxt(path, delimiter=",", skiprows=3)
-    comp = data[:, 3:]
-    values = np.zeros((len(data), 3, 3))
+    comp = np.loadtxt(path, delimiter=",", skiprows=3, usecols=range(3, 8))
+    values = np.zeros((len(comp), 3, 3))
     values[:, 0, 0] = comp[:, 0]
     values[:, 1, 1] = comp[:, 1]
     values[:, 2, 2] = -comp[:, 0] - comp[:, 1]

@@ -4,8 +4,9 @@ projected H1 gradient flow for the Dirichlet energy over manifold-valued
 fields.
 
 Both solvers run one shared loop that freezes the boundary layer, proposes
-Barzilai-Borwein steps, enforces energy monotonicity by a halve-on-increase
-line search, and reports the discrete Euler-Lagrange residual in max norm.
+Barzilai-Borwein steps by the solver's own rule, enforces energy
+monotonicity by a halve-on-increase line search, and reports the discrete
+Euler-Lagrange residual in max norm.
 """
 
 from __future__ import annotations
@@ -91,18 +92,21 @@ def _boundary_residual(f: TensorField, s_plus: float) -> float:
     return float(np.max(norm(poly_min(f.values[mask], s_plus))))
 
 
-def _bb_step(s: np.ndarray, y: np.ndarray, metric):
-    """Barzilai-Borwein step <s,Ms>/<s,y> in the metric M (the identity
-    when metric is None), or None when <s,y> <= 0.  Pairwise numpy sums
-    keep it independent of the BLAS thread count."""
+def _bb_short(s: np.ndarray, y: np.ndarray):
+    """Short Barzilai-Borwein step <s,y>/<y,y>, or None when <s,y> <= 0.
+
+    The LdG flow's step rule.  By Cauchy-Schwarz it is at most the long
+    step <s,s>/<s,y>, which under the stiff 1/L bulk term overshoots on
+    about every second trial.  Pairwise numpy sums keep it independent of
+    the BLAS thread count.
+    """
     sy = float(np.sum(s * y))
-    ms = s if metric is None else metric(s)
-    return float(np.sum(s * ms)) / sy if sy > 0.0 else None
+    return sy / float(np.sum(y * y)) if sy > 0.0 else None
 
 
 def _monotone_flow(
     init: TensorField, cfg: SolveConfig, dt0: float, objective, direction,
-    retract, failure: str, log, metric=None,
+    retract, step, failure: str, log,
 ) -> SolveResult:
     """Explicit flow with Barzilai-Borwein steps and halve-on-increase line
     search.
@@ -111,10 +115,11 @@ def _monotone_flow(
     interior nodes; a step retracts interior + dt * velocity and is accepted
     only if the objective does not increase.  A retraction that raises
     DegenerateSpectrum rejects the trial step like an increase.  After the
-    first step (dt0) the trial step is the BB1 step <s,Ms>/<s,y> (s the
-    interior change, y the change of minus the L2 residual, M the metric
-    whose inverse maps the L2 residual to the velocity: the identity when
-    metric is None), or 2 * dt when <s,y> <= 0, capped at _DT_CAP * dt0.
+    first step (dt0) the trial step is step(s, y), the solver's
+    Barzilai-Borwein rule (s the interior change, y the change of minus the
+    L2 residual; the short step for LdG, the long one in the metric -lap
+    for the harmonic flow), or 2 * dt when the rule returns None
+    (<s,y> <= 0), capped at _DT_CAP * dt0.
 
     Stops on the residual, or on the second full trial step since the last
     larger decrement that decreases the energy by at most rel_energy_tol
@@ -147,7 +152,7 @@ def _monotone_flow(
             iterations -= 1
             break
         if prev is not None:
-            bb = _bb_step(f.interior - prev[0], prev[1] - grad, metric)
+            bb = step(f.interior - prev[0], prev[1] - grad)
             dt = min(dt_max, 2.0 * dt if bb is None else bb)
         prev = (f.interior, grad)
         shortened = False
@@ -258,8 +263,11 @@ def solve_ldg(
     The flow runs on the S0 coordinates of the field (tensor_algebra.to_s0),
     so a step needs no re-projection, and measures every trial's energy as
     E(start) + _start_relative_energy, E(start) evaluated once on the
-    matrix start.  Stationary points satisfy the discrete Euler-Lagrange
-    equation L * lap(Q) = bulk gradient.  The recorded energy sequence is
+    matrix start.  Its trial steps are short Barzilai-Borwein steps
+    (_bb_short): the long step overshoots under the stiff 1/L bulk term,
+    and the line search rejected about half of its trials.  Stationary
+    points satisfy the discrete Euler-Lagrange equation
+    L * lap(Q) = bulk gradient.  The recorded energy sequence is
     non-increasing on accepted steps by construction.  The returned field is
     init with the solved interior (init itself when no step moved it), and
     el_residual is the residual of that field.
@@ -286,6 +294,7 @@ def solve_ldg(
         objective=lambda fld: e0 + increment(fld),
         direction=direction,
         retract=lambda c: c,  # every coordinate vector is in S0
+        step=_bb_short,
         failure="time step underflow; bulk term too stiff for this grid",
         log=log,
     )
@@ -306,10 +315,11 @@ def solve_harmonic(
 
     The L2 residual g is the tangential part of lap(Q).  The velocity is the
     tangential part of (-lap)^{-1} g (zero Dirichlet data), and a step
-    retracts Q + dt * velocity to the manifold at every interior node.  BB
-    steps are taken in the metric -lap; in it the linearized flow has unit
-    rate, so the first trial step is dt_safety.  el_residual is max |g|, the
-    stationarity residual of the discrete harmonic map.
+    retracts Q + dt * velocity to the manifold at every interior node.  The
+    trial steps are long Barzilai-Borwein steps in the metric -lap; in it
+    the linearized flow has unit rate, so the first trial step is
+    dt_safety.  el_residual is max |g|, the stationarity residual of the
+    discrete harmonic map.
     """
     s = p.s_plus
     all_res = float(np.max(norm(poly_min(init.values, s))))
@@ -328,12 +338,19 @@ def solve_harmonic(
         v = poisson_dirichlet(g, h)
         return v - normal_component(v, q, s), g, float(np.max(norm(g)))
 
+    def bb_long(d: np.ndarray, y: np.ndarray):
+        """Long Barzilai-Borwein step <d,-lap d>/<d,y>, or None when
+        <d,y> <= 0; pairwise numpy sums as in _bb_short."""
+        dy = float(np.sum(d * y))
+        lap = laplacian_array(np.pad(d, pad), h)
+        return float(np.sum(d * -lap)) / dy if dy > 0.0 else None
+
     return _monotone_flow(
         init, cfg, cfg.dt_safety,
         objective=dirichlet_energy,
         direction=direction,
         retract=lambda m: project_array(m, p)[0],
+        step=bb_long,
         failure="time step underflow in projected flow",
         log=log,
-        metric=lambda d: -laplacian_array(np.pad(d, pad), h),
     )

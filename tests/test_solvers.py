@@ -332,6 +332,21 @@ def test_harmonic_iterations_flat_in_grid_size():
         assert res.el_residual <= 1e-7
 
 
+def test_ldg_cold_short_bb_steps_seldom_backtrack():
+    """The cold 8^3 L = 0.02 solve on [0, 8]^3 takes short BB steps, which
+    the line search seldom rejects (the long step <s,s>/<s,y> made 401 trial
+    steps, 210 of them rejected), and still meets the cold solve's
+    reference energy and residual."""
+    p = make_params(L=0.02)
+    grid = GridSpec(dims=(8, 8, 8), box=((0.0, 8.0),) * 3)
+    res = solve_ldg(boundary_near_constant(grid, p, 0.2), p, SolveConfig())
+    assert res.converged
+    assert res.iterations + res.backtracks <= 250
+    assert res.backtracks <= res.iterations / 2
+    assert res.final_energy <= 1.3649148845612968 * (1.0 + 1e-9)
+    assert res.el_residual <= 1.1 * 2.538852e-06
+
+
 def test_harmonic_hedgehog_8_energy_pinned():
     """The 8^3 hedgehog on [-1, 1]^3 reaches the L2 flow's energy (finer
     grids stop at the symmetric hedgehog, a saddle; see CHANGES.md)."""
