@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import DegenerateFit, GridMismatch, IllConditionedT, NotOnManifold
 from .fields import (
-    GridSpec,
     TensorField,
     edge_grad_squared,
     gradient_array,
@@ -29,10 +28,13 @@ from .geometry import (
     harmonic_rhs_array,
     normal_component,
     project_array,
+    require_on_manifold,
 )
 from .tensor_algebra import I3, eigh_descending, matmul_sum, norm, poly_min
 
 _IN = np.s_[1:-1]
+# largest condition estimate of projection_residual's inversion matrix
+_COND_LIMIT = 1e8
 
 
 @dataclass
@@ -41,7 +43,6 @@ class DiagnosticFields:
     minimal-polynomial residual x, its trace defect y, the tensorial defect
     z, and the rewritten-equation remainder r."""
 
-    grid: GridSpec
     x_field: np.ndarray
     y_field: np.ndarray
     z_field: np.ndarray
@@ -52,7 +53,6 @@ class DiagnosticFields:
 class CorrectorFields:
     """Empirical first-order corrector data at interior nodes."""
 
-    grid: GridSpec
     a_field: np.ndarray
     b_field: np.ndarray
     qdot_field: np.ndarray
@@ -60,8 +60,6 @@ class CorrectorFields:
 
 @dataclass
 class RateFit:
-    ls: np.ndarray
-    errs: np.ndarray
     slope: float
     intercept: float
     r_squared: float
@@ -99,9 +97,7 @@ def _diagnostics(
     )
     r = p.c2 * y[..., None, None] * q + (p.b2 / 3.0) * y[..., None, None] * I3 \
         - p.b2 * z
-    return DiagnosticFields(
-        grid=q_l.grid, x_field=x, y_field=y, z_field=z, r_field=r
-    )
+    return DiagnosticFields(x_field=x, y_field=y, z_field=z, r_field=r)
 
 
 def rewritten_identity_residual(q_l: TensorField, p: MaterialParams) -> np.ndarray:
@@ -123,9 +119,7 @@ def corrector_a(q_star: TensorField, p: MaterialParams) -> np.ndarray:
     """Closed-form normal part of the first-order corrector, from the limit
     field alone (finite-difference gradients), at interior nodes."""
     s = p.s_plus
-    res = float(np.max(norm(poly_min(q_star.values, s))))
-    if res > 1e-8 * max(1.0, s**2):
-        raise NotOnManifold(f"limit field leaves the manifold (residual {res:.3e})")
+    require_on_manifold(q_star.values, s, NotOnManifold, "limit field")
     q = q_star.interior
     grads = gradient_array(q_star.values, q_star.grid.h)
     gn2 = grad_norm2(grads)[..., None, None]
@@ -144,9 +138,7 @@ def empirical_corrector(
         raise GridMismatch("fields live on different grids")
     qdot = (q_l.interior - q_star.interior) / p.L
     normal = normal_component(qdot, q_star.interior, p.s_plus)
-    return CorrectorFields(
-        grid=q_l.grid, a_field=normal, b_field=qdot - normal, qdot_field=qdot
-    )
+    return CorrectorFields(a_field=normal, b_field=qdot - normal, qdot_field=qdot)
 
 
 def corrector_b_residual(
@@ -220,8 +212,6 @@ def projection_residual(
     q_l: TensorField,
     p: MaterialParams,
     beta: float | None = None,
-    gap_tol: float | None = None,
-    cond_limit: float = 1e8,
 ) -> np.ndarray:
     """Residual of the manifold-projection equation per interior node.
 
@@ -236,7 +226,7 @@ def projection_residual(
         raise ValueError("beta must be nonzero")
     h = q_l.grid.h
 
-    q_sharp, n = project_array(q_l.values, p, gap_tol=gap_tol)
+    q_sharp, n = project_array(q_l.values, p)
     # explicit inverse on the known spectrum (2s/3, -s/3, -s/3)
     nn = n[..., :, None] * n[..., None, :]
     q_sharp_inv = -(3.0 / s) * I3 + (9.0 / (2.0 * s)) * nn
@@ -264,7 +254,7 @@ def projection_residual(
     abs_eig = np.abs(eigh_descending(t)[0])
     with np.errstate(divide="ignore", invalid="ignore"):
         cond = np.max(abs_eig, axis=-1) / np.min(abs_eig, axis=-1)
-    if not np.all(cond <= cond_limit):  # also catches NaN
+    if not np.all(cond <= _COND_LIMIT):  # also catches NaN
         idx = np.unravel_index(int(np.argmax(cond)), cond.shape)
         raise IllConditionedT(
             f"inversion matrix at interior node {idx} has condition estimate "
@@ -303,8 +293,6 @@ def fit_rate(ls, errs) -> RateFit:
     if ss_tot == 0.0:
         raise DegenerateFit("errors have zero variance")
     return RateFit(
-        ls=ls,
-        errs=errs,
         slope=float(slope),
         intercept=float(intercept),
         r_squared=1.0 - ss_res / ss_tot,

@@ -9,17 +9,17 @@ from .geometry import MaterialParams
 from .tensor_algebra import (
     dev_square_s0,
     dot_s0,
+    frobenius,
     from_s0,
     s0_planes,
     to_s0,
-    trace2,
     trace3,
 )
 
 
 def f_bulk(q: np.ndarray, p: MaterialParams) -> np.ndarray:
     """Quartic bulk density -(a2/2) tr Q^2 - (b2/3) tr Q^3 + (c2/4)(tr Q^2)^2."""
-    t2 = trace2(q)
+    t2 = frobenius(q, q)  # tr Q^2 for symmetric Q
     t3 = trace3(q)
     return -0.5 * p.a2 * t2 - (p.b2 / 3.0) * t3 + 0.25 * p.c2 * t2**2
 

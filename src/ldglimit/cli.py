@@ -7,6 +7,7 @@ pools, so the heavy imports happen inside main() after --threads is handled.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -63,10 +64,11 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     args = _build_parser().parse_args(argv)
 
+    bad = _argument_error(args)
+    if bad is not None:
+        print(f"error: {bad}", file=sys.stderr)
+        return 2
     if args.threads is not None:
-        if args.threads < 1:
-            print("error: --threads must be >= 1", file=sys.stderr)
-            return 2
         for var in _THREAD_VARS:
             os.environ[var] = str(args.threads)
 
@@ -91,6 +93,20 @@ def main(argv=None) -> int:
     except LdglimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+
+
+def _argument_error(args) -> str | None:
+    """The message for the first out-of-range numeric argument, or None."""
+    if args.threads is not None and args.threads < 1:
+        return "--threads must be >= 1"
+    if getattr(args, "trials", 1) < 1:
+        return "--trials must be >= 1"
+    for name in ("tol", "center_exclusion"):
+        value = getattr(args, name, None)
+        if value is not None and not 0.0 <= value < math.inf:  # NaN fails
+            flag = "--" + name.replace("_", "-")
+            return f"{flag} must be finite and nonnegative"
+    return None
 
 
 def _dispatch(args, cfg) -> int:
@@ -129,9 +145,13 @@ def _dispatch(args, cfg) -> int:
         return 0
 
     if args.command == "corrector":
-        rep = runner.run_corrector(
-            cfg, log=log, center_exclusion=args.center_exclusion
-        )
+        try:
+            rep = runner.run_corrector(
+                cfg, log=log, center_exclusion=args.center_exclusion
+            )
+        except ValueError as exc:  # the exclusion radius leaves no node
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         for key, value in rep.items():
             print(f"{key}={value}")
         return 0

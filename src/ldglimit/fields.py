@@ -234,9 +234,7 @@ def bulk_energy(f: TensorField, p: MaterialParams) -> float:
     return float(np.sum(node_weights(f.grid) * density)) * f.grid.cell_volume()
 
 
-def boundary_hedgehog(
-    grid: GridSpec, p: MaterialParams, fill_interior: bool = True
-) -> TensorField:
+def boundary_hedgehog(grid: GridSpec, p: MaterialParams) -> TensorField:
     """Radial uniaxial data s_+(r^ (x) r^ - I/3) about the box center.
 
     Raises CenterOnBoundary when any lattice node coincides with the center
@@ -248,20 +246,11 @@ def boundary_hedgehog(
     r = np.linalg.norm(rel, axis=-1)
     if np.min(r) < 1e-12 * np.min(grid.h):
         raise CenterOnBoundary("a lattice node coincides with the box center")
-    n = rel / r[..., None]
-    values = uniaxial(n, p.s_plus)
-    out = TensorField(grid, values)
-    if not fill_interior:
-        out.interior[...] = uniaxial(np.array([0.0, 0.0, 1.0]), p.s_plus)
-    return out
+    return TensorField(grid, uniaxial(rel / r[..., None], p.s_plus))
 
 
 def boundary_near_constant(
-    grid: GridSpec,
-    p: MaterialParams,
-    eps: float,
-    pattern: str = "tilt_x",
-    fill_interior: bool = True,
+    grid: GridSpec, p: MaterialParams, eps: float, pattern: str = "tilt_x"
 ) -> TensorField:
     """On-manifold data close to a constant uniaxial state.
 
@@ -279,11 +268,7 @@ def boundary_near_constant(
     n = np.stack(
         [np.sin(theta), np.zeros_like(theta), np.cos(theta)], axis=-1
     )
-    values = uniaxial(n, p.s_plus)
-    out = TensorField(grid, values)
-    if not fill_interior:
-        out.interior[...] = uniaxial(np.array([0.0, 0.0, 1.0]), p.s_plus)
-    return out
+    return TensorField(grid, uniaxial(n, p.s_plus))
 
 
 def interior_margin_mask(grid: GridSpec, margin: float) -> np.ndarray:

@@ -19,6 +19,7 @@ from .tensor_algebra import (
     frobenius,
     matmul_sum,
     norm,
+    poly_min,
 )
 
 
@@ -47,36 +48,30 @@ class MaterialParams:
         )
 
 
-@dataclass
-class ManifoldPoint:
-    """A certified point of the limit manifold with its unit director."""
-
-    q: np.ndarray
-    director: np.ndarray
-
-
 def uniaxial(director: np.ndarray, s_plus: float) -> np.ndarray:
     """s_+ (n (x) n - I/3) for unit director(s) n of shape (..., 3)."""
     n = np.asarray(director, dtype=float)
     return s_plus * (n[..., :, None] * n[..., None, :] - I3 / 3.0)
 
 
-def default_gap_tol(p: MaterialParams) -> float:
-    """Eigen-gap proxy for the tubular neighborhood where the nearest-point
-    projection is single-valued."""
-    return 0.1 * p.s_plus
+def require_on_manifold(q: np.ndarray, s_plus: float, error, what: str) -> None:
+    """Raise error, an LdglimitError subclass, with a message naming `what`
+    when the minimal-polynomial residual of some tensor of q exceeds
+    1e-8 max(1, s_+^2)."""
+    res = float(np.max(norm(poly_min(q, s_plus))))
+    if res > 1e-8 * max(1.0, s_plus**2):
+        raise error(f"{what} leaves the manifold (residual {res:.3e})")
 
 
-def project_array(
-    q: np.ndarray, p: MaterialParams, gap_tol: float | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def project_array(q: np.ndarray, p: MaterialParams) -> tuple[np.ndarray, np.ndarray]:
     """Nearest-point projection of tensors of shape (..., 3, 3).
 
     Returns (projected tensors, directors).  Raises DegenerateSpectrum if any
     entry fails the eigen-gap precondition or is not finite.
     """
-    if gap_tol is None:
-        gap_tol = default_gap_tol(p)
+    # eigen-gap proxy for the tubular neighborhood where the nearest-point
+    # projection is single-valued
+    gap_tol = 0.1 * p.s_plus
     w, v = eigh_descending(q)
     gap = w[..., 0] - w[..., 1]
     if not np.all(gap >= gap_tol):  # a NaN entry fails too
@@ -153,16 +148,16 @@ def check_identities(
     x: np.ndarray,
     y: np.ndarray,
     z: np.ndarray,
-    base: ManifoldPoint,
+    q: np.ndarray,
     p: MaterialParams,
 ) -> dict[str, float]:
-    """Residuals of the algebraic tangent/normal identities at base points.
+    """Residuals of the algebraic tangent/normal identities at manifold
+    points q.
 
     Broadcasts over leading axes and reports the maximum over the batch.
     Diagnostic only: invalid inputs simply produce large residuals.
     """
     s = p.s_plus
-    q = base.q
     xy = anticomm(x, y)
     trxy = frobenius(x, y)
     t = trxy[..., None, None]
@@ -188,17 +183,16 @@ def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[..., :, None] * b[..., None, :]
 
 
-def tangent_basis(base: ManifoldPoint) -> tuple[np.ndarray, np.ndarray]:
-    """Two Frobenius-orthogonal tangent directions at the base point(s)."""
-    n = base.director
+def tangent_basis(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Two Frobenius-orthogonal tangent directions at the manifold point(s)
+    with unit director(s) n."""
     u, v = _orthonormal_complement(n)
     return _outer(n, u) + _outer(u, n), _outer(n, v) + _outer(v, n)
 
 
-def normal_basis_s0(base: ManifoldPoint) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Three traceless normal directions at the base point(s), mutually
-    Frobenius-orthogonal."""
-    n = base.director
+def normal_basis_s0(n: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Three traceless normal directions at the manifold point(s) with unit
+    director(s) n, mutually Frobenius-orthogonal."""
     u, v = _orthonormal_complement(n)
     z1 = 2.0 * _outer(n, n) - _outer(u, u) - _outer(v, v)
     z2 = _outer(u, u) - _outer(v, v)

@@ -30,13 +30,17 @@ from .fields import (
     laplacian_array,
     poisson_dirichlet,
 )
-from .geometry import MaterialParams, normal_component, project_array
+from .geometry import (
+    MaterialParams,
+    normal_component,
+    project_array,
+    require_on_manifold,
+)
 from .tensor_algebra import (
     dev_square_s0,
     dot_s0,
     from_s0,
     norm,
-    poly_min,
     s0_planes,
     to_s0,
 )
@@ -85,11 +89,6 @@ def bulk_lipschitz_bound(p: MaterialParams) -> float:
 def _emit(log, cfg: SolveConfig, i: int, e: float, res: float, dt: float) -> None:
     if log is not None and cfg.log_every > 0 and i % cfg.log_every == 0:
         log(f"iter={i} energy={e:.17g} residual={res:.6e} dt={dt:.6e}")
-
-
-def _boundary_residual(f: TensorField, s_plus: float) -> float:
-    mask = f.boundary_mask()
-    return float(np.max(norm(poly_min(f.values[mask], s_plus))))
 
 
 def _bb_short(s: np.ndarray, y: np.ndarray):
@@ -272,10 +271,8 @@ def solve_ldg(
     init with the solved interior (init itself when no step moved it), and
     el_residual is the residual of that field.
     """
-    s = p.s_plus
-    if _boundary_residual(init, s) > 1e-8 * max(1.0, s**2):
-        raise NonManifoldBoundary("boundary data is not on the limit manifold")
-
+    require_on_manifold(init.values[init.boundary_mask()], p.s_plus,
+                        NonManifoldBoundary, "boundary data")
     h = init.grid.h
     dt0 = cfg.dt_safety * min(
         float(np.min(h)) ** 2 / 6.0, p.L / bulk_lipschitz_bound(p)
@@ -322,12 +319,7 @@ def solve_harmonic(
     discrete harmonic map.
     """
     s = p.s_plus
-    all_res = float(np.max(norm(poly_min(init.values, s))))
-    if all_res > 1e-8 * max(1.0, s**2):
-        raise NotOnManifold(
-            f"initial field leaves the manifold (residual {all_res:.3e})"
-        )
-
+    require_on_manifold(init.values, s, NotOnManifold, "initial field")
     h = init.grid.h
     pad = ((1, 1),) * 3 + ((0, 0),) * 2
 

@@ -103,11 +103,6 @@ def norm(a: np.ndarray) -> np.ndarray:
     return np.sqrt(frobenius(a, a))
 
 
-def trace2(q: np.ndarray) -> np.ndarray:
-    """tr(q^2) for symmetric q (equals the squared Frobenius norm)."""
-    return np.einsum("...ij,...ij->...", q, q)
-
-
 def trace3(q: np.ndarray) -> np.ndarray:
     """tr(q^3) for symmetric q."""
     return frobenius(q @ q, q)

@@ -5,6 +5,7 @@ rate fitting."""
 import numpy as np
 import pytest
 
+from ldglimit import asymptotics
 from ldglimit.asymptotics import (
     CorrectorFields,
     DiagnosticFields,
@@ -287,11 +288,13 @@ def test_projection_residual_beta_independence():
         projection_residual(f, p, beta=0.0)
 
 
-def test_projection_residual_failure_modes():
+def test_projection_residual_failure_modes(monkeypatch):
     p = make_params()
     f = smooth_generic_field(p)
-    with pytest.raises(IllConditionedT):
-        projection_residual(f, p, cond_limit=1.0)
+    with monkeypatch.context() as m:
+        m.setattr(asymptotics, "_COND_LIMIT", 1.0)
+        with pytest.raises(IllConditionedT):
+            projection_residual(f, p)
     flat = zeros_field(GRID)
     with pytest.raises(DegenerateSpectrum):
         projection_residual(flat, p)

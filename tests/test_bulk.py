@@ -12,7 +12,7 @@ from ldglimit.bulk import (
     grad_f_bulk_s0,
 )
 from ldglimit.geometry import MaterialParams, project_array, uniaxial
-from ldglimit.tensor_algebra import I3, from_s0, norm, qtensor, to_s0, trace2
+from ldglimit.tensor_algebra import I3, frobenius, from_s0, norm, qtensor, to_s0
 from conftest import random_directors, random_qtensors
 
 
@@ -60,7 +60,7 @@ def test_grad_f_bulk_s0_matches_matrix_formula(rng):
     random S0 points."""
     p = MaterialParams(0.7, 1.3, 1.9)
     q = random_qtensors(rng, 10000, scale=1.5)
-    t2 = trace2(q)[..., None, None]
+    t2 = frobenius(q, q)[..., None, None]
     oracle = -p.a2 * q - p.b2 * (q @ q - t2 / 3.0 * I3) + p.c2 * t2 * q
     bound = 1e-14 * (1.0 + norm(q)) ** 3
     assert np.all(norm(from_s0(grad_f_bulk_s0(to_s0(q), p)) - oracle) <= bound)

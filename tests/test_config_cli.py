@@ -1,7 +1,8 @@
 """Configuration round-trips, command-line entry points, the package's
-export table and the names the benchmark traces."""
+lazy submodules and the names the benchmark traces."""
 
 import importlib.util
+import subprocess
 import sys
 from pathlib import Path
 
@@ -137,6 +138,32 @@ def test_cli_rejects_bad_config(tmp_path, capsys, line):
     assert main(["check-geometry", "--config", str(tmp_path / "missing.cfg")]) == 2
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["check-geometry", "--trials", "0"],
+        ["check-geometry", "--trials", "-3"],
+        ["check-geometry", "--tol", "-0.5"],
+        ["check-geometry", "--tol", "nan"],
+        ["check-geometry", "--tol", "inf"],
+        ["corrector", "--center-exclusion", "-1"],
+        ["corrector", "--center-exclusion", "nan"],
+        # no interior node of the [-1,1]^3 box lies this far from its center
+        ["corrector", "--center-exclusion", "100"],
+    ],
+)
+def test_cli_rejects_bad_arguments(tmp_path, capsys, args):
+    """An out-of-range number is a bad argument: exit 2 with one error
+    line and no other output."""
+    cfg_path = tmp_path / "hedgehog.cfg"
+    tiny_config(boundary="hedgehog", box_lo=-1.0, box_hi=1.0).save(cfg_path)
+    assert main(args + ["--config", str(cfg_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_cli_solve_harmonic_and_ldg(tmp_path, capsys):
     cfg = tiny_config()
     cfg_path = tmp_path / "run.cfg"
@@ -190,6 +217,19 @@ def test_cli_reports_domain_errors(tmp_path, capsys):
         assert "error:" in capsys.readouterr().err
         # a failed command leaves no output directory behind
         assert not out.exists(), command
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    """The package and the CLI import no numerics, so --threads can pin the
+    thread pools before numpy starts them; this is why the package imports
+    its submodules lazily."""
+    code = "import sys, ldglimit.cli; print('numpy' in sys.modules)"
+    src = str(Path(ldglimit.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        check=True, env={"PYTHONPATH": src},
+    )
+    assert out.stdout == "False\n"
 
 
 def test_every_export_resolves():

@@ -173,10 +173,6 @@ def test_boundary_hedgehog(unit_params):
     # odd interior counts put a node at the center -> error
     with pytest.raises(CenterOnBoundary):
         boundary_hedgehog(GridSpec(dims=(5, 5, 5), box=((-1.0, 1.0),) * 3), p)
-    # fill_interior=False keeps boundary data but constant interior
-    g = boundary_hedgehog(grid, p, fill_interior=False)
-    assert np.array_equal(g.values[0], f.values[0])
-    assert np.max(norm(g.interior - uniaxial(np.array([0.0, 0.0, 1.0]), s))) < 1e-12
 
 
 def test_boundary_hedgehog_radial_value(unit_params):

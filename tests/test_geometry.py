@@ -8,10 +8,8 @@ import pytest
 from ldglimit.errors import DegenerateSpectrum
 from ldglimit.fields import gradient_array
 from ldglimit.geometry import (
-    ManifoldPoint,
     MaterialParams,
     check_identities,
-    default_gap_tol,
     grad_squared,
     harmonic_rhs_array,
     normal_basis_s0,
@@ -30,9 +28,10 @@ E1, E2, E3 = np.eye(3)
 
 
 def base_point(n, p):
+    """The manifold point with director n (normalized) and that director."""
     n = np.asarray(n, dtype=float)
     n = n / np.linalg.norm(n)
-    return ManifoldPoint(q=uniaxial(n, p.s_plus), director=n)
+    return uniaxial(n, p.s_plus), n
 
 
 def test_s_plus_value_and_defining_quadratic(rng):
@@ -109,20 +108,28 @@ def test_projection_degenerate_spectrum(rng, unit_params):
     q[1, 0, 2] = q[1, 2, 0] = np.nan
     with pytest.raises(DegenerateSpectrum):
         project_array(q, unit_params)
-    assert default_gap_tol(unit_params) == pytest.approx(0.15)
+    # the gap threshold is 0.1 s_+ = 0.15 at unit constants: a traceless
+    # spectrum just under it is rejected, one just over it projects
+    def top_gap(gap):
+        return np.diag([2.0 * gap / 3.0, -gap / 3.0, -gap / 3.0])
+
+    with pytest.raises(DegenerateSpectrum):
+        project_array(top_gap(0.99 * 0.15), unit_params)
+    proj, _ = project_array(top_gap(1.01 * 0.15), unit_params)
+    assert np.allclose(proj, uniaxial(E1, unit_params.s_plus))
 
 
 def test_split_examples(rng, unit_params):
     p = unit_params
     s = p.s_plus
-    base = base_point([0.0, 0.0, 1.0], p)
+    q, n = base_point([0.0, 0.0, 1.0], p)
     # the base point and the identity commute with the base point: purely
     # normal
-    for a in (base.q, I3):
-        assert np.max(np.abs(normal_component(a, base.q, s) - a)) < 1e-12
+    for a in (q, I3):
+        assert np.max(np.abs(normal_component(a, q, s) - a)) < 1e-12
     # a tangent frame vector is purely tangential
-    for t in tangent_basis(base):
-        assert np.max(np.abs(normal_component(t, base.q, s))) < 1e-12
+    for t in tangent_basis(n):
+        assert np.max(np.abs(normal_component(t, q, s))) < 1e-12
 
 
 def test_split_is_direct_sum(rng, unit_params):
@@ -142,37 +149,35 @@ def test_normal_component_fixes_normals(rng, unit_params):
     p = unit_params
     s = p.s_plus
     for n in random_directors(rng, 20):
-        base = base_point(n, p)
-        z1, z2, z3 = normal_basis_s0(base)
+        q, n = base_point(n, p)
+        z1, z2, z3 = normal_basis_s0(n)
         z = rng.normal() * z1 + rng.normal() * z2 + rng.normal() * z3
-        assert np.max(np.abs(normal_component(z, base.q, s) - z)) < 1e-12
-        t1, t2 = tangent_basis(base)
+        assert np.max(np.abs(normal_component(z, q, s) - z)) < 1e-12
+        t1, t2 = tangent_basis(n)
         x = rng.normal() * t1 + rng.normal() * t2
-        assert np.max(np.abs(normal_component(x, base.q, s))) < 1e-12
+        assert np.max(np.abs(normal_component(x, q, s))) < 1e-12
 
 
 def test_bases_are_orthogonal_frames(rng, unit_params):
     p = unit_params
     for n in random_directors(rng, 20):
-        base = base_point(n, p)
-        t1, t2 = tangent_basis(base)
-        z1, z2, z3 = normal_basis_s0(base)
+        q, n = base_point(n, p)
+        t1, t2 = tangent_basis(n)
+        z1, z2, z3 = normal_basis_s0(n)
         vecs = [t1, t2, z1, z2, z3]
         for i, a in enumerate(vecs):
             assert abs(np.trace(a)) < 1e-12
             for b in vecs[i + 1:]:
                 assert abs(frobenius(a, b)) < 1e-12
         for t in (t1, t2):
-            assert float(tangency_residual(t, base.q, p.s_plus)) < 1e-12
+            assert float(tangency_residual(t, q, p.s_plus)) < 1e-12
         for z in (z1, z2, z3):
-            assert float(normality_residual(z, base.q)) < 1e-12
+            assert float(normality_residual(z, q)) < 1e-12
     # a batch of base points gives, point by point, the same frames
     n = random_directors(rng, 64)
-    batch = ManifoldPoint(q=uniaxial(n, p.s_plus), director=n)
-    frames = tangent_basis(batch) + normal_basis_s0(batch)
+    frames = tangent_basis(n) + normal_basis_s0(n)
     for i in range(len(n)):
-        single = ManifoldPoint(q=batch.q[i], director=n[i])
-        for fb, fs in zip(frames, tangent_basis(single) + normal_basis_s0(single)):
+        for fb, fs in zip(frames, tangent_basis(n[i]) + normal_basis_s0(n[i])):
             assert np.array_equal(fb[i], fs)
 
 
@@ -181,9 +186,9 @@ def test_second_fundamental_form_frame_example(unit_params):
     2 s diag(-1, 1, 0)."""
     p = unit_params
     s = p.s_plus
-    base = base_point([1.0, 0.0, 0.0], p)
+    q, _ = base_point([1.0, 0.0, 0.0], p)
     v1 = s * (np.outer(E1, E2) + np.outer(E2, E1))
-    ii = second_fundamental_form(v1, v1, base.q, s)
+    ii = second_fundamental_form(v1, v1, q, s)
     assert np.allclose(ii, 2.0 * s * np.diag([-1.0, 1.0, 0.0]), atol=1e-12)
 
 
@@ -191,17 +196,17 @@ def test_second_fundamental_form_properties(rng, unit_params):
     p = unit_params
     s = p.s_plus
     n = random_directors(rng, 10)
-    base = ManifoldPoint(q=uniaxial(n, s), director=n)
-    t1, t2 = tangent_basis(base)
+    q = uniaxial(n, s)
+    t1, t2 = tangent_basis(n)
     c = rng.normal(size=(4, 10, 1, 1))
     x = c[0] * t1 + c[1] * t2
     y = c[2] * t1 + c[3] * t2
-    ii_xy = second_fundamental_form(x, y, base.q, s)
-    ii_yx = second_fundamental_form(y, x, base.q, s)
+    ii_xy = second_fundamental_form(x, y, q, s)
+    ii_yx = second_fundamental_form(y, x, q, s)
     assert np.max(np.abs(ii_xy - ii_yx)) < 1e-12
     # bilinear and normal-valued
-    assert np.max(np.abs(second_fundamental_form(x, np.zeros_like(x), base.q, s))) == 0.0
-    assert np.max(np.abs(comm(ii_xy, base.q))) < 1e-11
+    assert np.max(np.abs(second_fundamental_form(x, np.zeros_like(x), q, s))) == 0.0
+    assert np.max(np.abs(comm(ii_xy, q))) < 1e-11
 
 
 def test_second_fundamental_form_curve_oracle(rng, unit_params):
@@ -211,37 +216,37 @@ def test_second_fundamental_form_curve_oracle(rng, unit_params):
     s = p.s_plus
     t = 1e-3
     n = random_directors(rng, 5)
-    base = ManifoldPoint(q=uniaxial(n, s), director=n)
-    t1, t2 = tangent_basis(base)
+    q = uniaxial(n, s)
+    t1, t2 = tangent_basis(n)
     c = rng.normal(size=(2, 5, 1, 1))
     x = c[0] * t1 + c[1] * t2
     x = x / norm(x)[..., None, None]
-    qp, _ = project_array(base.q + t * x, p)
-    qm, _ = project_array(base.q - t * x, p)
-    fd = (qp - 2.0 * base.q + qm) / t**2
-    assert np.max(np.abs(second_fundamental_form(x, x, base.q, s) - fd)) < 1e-4
+    qp, _ = project_array(q + t * x, p)
+    qm, _ = project_array(q - t * x, p)
+    fd = (qp - 2.0 * q + qm) / t**2
+    assert np.max(np.abs(second_fundamental_form(x, x, q, s) - fd)) < 1e-4
 
 
 def test_harmonic_rhs_forms_agree_on_tangents(rng, unit_params):
     p = unit_params
     s = p.s_plus
     for n in random_directors(rng, 20):
-        base = base_point(n, p)
-        t1, t2 = tangent_basis(base)
+        q, n = base_point(n, p)
+        t1, t2 = tangent_basis(n)
         grads = np.stack([
             rng.normal() * t1 + rng.normal() * t2,
             rng.normal() * t1 + rng.normal() * t2,
             rng.normal() * t1 + rng.normal() * t2,
         ])
-        r2 = harmonic_rhs_array(base.q, grads, s, form="ii")
-        r3 = harmonic_rhs_array(base.q, grads, s, form="iii")
-        r4 = harmonic_rhs_array(base.q, grads, s, form="iv")
+        r2 = harmonic_rhs_array(q, grads, s, form="ii")
+        r3 = harmonic_rhs_array(q, grads, s, form="iii")
+        r4 = harmonic_rhs_array(q, grads, s, form="iv")
         assert np.max(np.abs(r2 - r4)) < 1e-10
         assert np.max(np.abs(r3 - r4)) < 1e-10
     # zero gradients give zero
-    assert np.max(np.abs(harmonic_rhs_array(base.q, np.zeros((3, 3, 3)), s))) == 0.0
+    assert np.max(np.abs(harmonic_rhs_array(q, np.zeros((3, 3, 3)), s))) == 0.0
     with pytest.raises(ValueError):
-        harmonic_rhs_array(base.q, np.zeros((3, 3, 3)), s, form="v")
+        harmonic_rhs_array(q, np.zeros((3, 3, 3)), s, form="v")
 
 
 def test_grad_squared_einsum_oracle(rng):
@@ -260,13 +265,13 @@ def test_grad_squared_einsum_oracle(rng):
 def test_check_identities_valid_and_mutated(rng, unit_params):
     p = unit_params
     s = p.s_plus
-    base = base_point([0.3, -0.5, 0.8], p)
-    t1, t2 = tangent_basis(base)
-    z1, z2, z3 = normal_basis_s0(base)
+    q, n = base_point([0.3, -0.5, 0.8], p)
+    t1, t2 = tangent_basis(n)
+    z1, z2, z3 = normal_basis_s0(n)
     x = 0.7 * t1 - 0.2 * t2
     y = -1.1 * t1 + 0.4 * t2
     z = 0.5 * z1 + 0.3 * z2 - 0.8 * z3
-    res = check_identities(x, y, z, base, p)
+    res = check_identities(x, y, z, q, p)
     assert set(res) == {
         "trace_product",
         "anticomm_product",
@@ -277,24 +282,22 @@ def test_check_identities_valid_and_mutated(rng, unit_params):
     }
     assert max(res.values()) < 1e-12
     # swapping tangent and normal inputs must blow the residuals up
-    bad = check_identities(z, z, x, base, p)
+    bad = check_identities(z, z, x, q, p)
     assert max(bad.values()) > 1e-3
 
     # over a batch of base points the result is the per-point maximum
     n = random_directors(rng, 64)
-    batch = ManifoldPoint(q=uniaxial(n, s), director=n)
-    t1, t2 = tangent_basis(batch)
-    z1, z2, z3 = normal_basis_s0(batch)
+    q = uniaxial(n, s)
+    t1, t2 = tangent_basis(n)
+    z1, z2, z3 = normal_basis_s0(n)
     c = rng.normal(size=(7, 64, 1, 1))
     x = c[0] * t1 + c[1] * t2
     y = c[2] * t1 + c[3] * t2
     z = c[4] * z1 + c[5] * z2 + c[6] * z3
     for args in ((x, y, z), (z, z, x)):
-        res = check_identities(*args, batch, p)
+        res = check_identities(*args, q, p)
         singles = [
-            check_identities(
-                *(a[i] for a in args), ManifoldPoint(batch.q[i], n[i]), p
-            )
+            check_identities(*(a[i] for a in args), q[i], p)
             for i in range(len(n))
         ]
         assert res == {k: max(r[k] for r in singles) for k in res}

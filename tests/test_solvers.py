@@ -224,13 +224,13 @@ def test_degenerate_retraction_is_a_rejected_step(monkeypatch, harmonic_run):
     real_project = solvers.project_array
     calls = []
 
-    def project_degenerate_then_still(values, params, gap_tol=None):
+    def project_degenerate_then_still(values, params):
         calls.append(1)
         if len(calls) == 1:
             raise DegenerateSpectrum("injected")
         if len(calls) <= 3:
             return init.interior.copy(), None
-        return real_project(values, params, gap_tol=gap_tol)
+        return real_project(values, params)
 
     monkeypatch.setattr(solvers, "project_array", project_degenerate_then_still)
     res = solve_harmonic(init, p, cfg)
@@ -424,8 +424,8 @@ def test_stiffness_failure_paths(monkeypatch):
     # for the projected flow, make the retraction jump to a distant state
     from ldglimit.geometry import project_array as real_project
 
-    def bad_project(values, params, gap_tol=None):
-        q, n = real_project(values, params, gap_tol=gap_tol)
+    def bad_project(values, params):
+        q, n = real_project(values, params)
         flip = uniaxial(np.array([1.0, 0.0, 0.0]), params.s_plus)
         return np.where(
             np.arange(q.shape[0])[:, None, None, None, None] % 2 == 0,

@@ -20,7 +20,6 @@ from ldglimit.tensor_algebra import (
     qtensor,
     sym,
     to_s0,
-    trace2,
     trace3,
 )
 from conftest import random_directors, random_qtensors
@@ -50,10 +49,9 @@ def test_frobenius_componentwise_oracle(rng):
 def test_trace_invariants_eigenvalue_oracle(rng):
     q = random_qtensors(rng, 100, scale=2.0)
     w = np.linalg.eigvalsh(q)
-    assert np.max(np.abs(trace2(q) - np.sum(w**2, axis=-1))) < 1e-10
+    # tr(q^2) is the Frobenius product of q with itself for symmetric q
+    assert np.max(np.abs(frobenius(q, q) - np.sum(w**2, axis=-1))) < 1e-10
     assert np.max(np.abs(trace3(q) - np.sum(w**3, axis=-1))) < 1e-10
-    # trace2 equals the squared Frobenius norm for symmetric input
-    assert np.max(np.abs(trace2(q) - norm(q) ** 2)) < 1e-12
 
 
 def test_anticomm_comm_definitions(rng):
@@ -198,7 +196,7 @@ def test_s0_coordinates_oracles(rng):
     assert np.all(norm(back - q) <= 1e-15 * scale)
     assert np.array_equal(back, np.swapaxes(back, -1, -2))
     assert np.max(np.abs(np.trace(back, axis1=-2, axis2=-1)) / scale) < 1e-15
-    assert np.all(np.abs(np.sum(c * c, axis=-1) - trace2(q)) <= 1e-15 * scale**2)
+    assert np.all(np.abs(np.sum(c * c, axis=-1) - frobenius(q, q)) <= 1e-15 * scale**2)
 
 
 def test_s0_cubic_invariant_matches_matrix_oracle(rng):
