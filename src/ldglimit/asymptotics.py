@@ -27,10 +27,11 @@ from .geometry import (
     grad_squared,
     harmonic_rhs_array,
     normal_component,
-    project_array,
+    projection_frame,
     require_on_manifold,
+    uniaxial,
 )
-from .tensor_algebra import I3, eigh_descending, matmul_sum, norm, poly_min
+from .tensor_algebra import I3, matmul_sum, norm, outer, poly_min
 
 _IN = np.s_[1:-1]
 # largest condition estimate of projection_residual's inversion matrix
@@ -218,6 +219,9 @@ def projection_residual(
     Projects the solved field nodewise, forms the commutator source and the
     shifted inversion matrix (beta fixes its top eigendirection; the result
     is beta-independent), and evaluates the stated equation.
+
+    Every matrix inverted here shares Q_L's eigenvectors, so the
+    projection's one eigendecomposition serves them all.
     """
     s = p.s_plus
     if beta is None:
@@ -226,11 +230,15 @@ def projection_residual(
         raise ValueError("beta must be nonzero")
     h = q_l.grid.h
 
-    q_sharp, n = project_array(q_l.values, p)
-    # explicit inverse on the known spectrum (2s/3, -s/3, -s/3)
-    nn = n[..., :, None] * n[..., None, :]
-    q_sharp_inv = -(3.0 / s) * I3 + (9.0 / (2.0 * s)) * nn
-    k_field = q_sharp_inv @ q_l.values
+    w_l, v = projection_frame(q_l.values, p)
+    n = v[..., :, 0]
+    q_sharp = uniaxial(n, s)
+    # K = Q_sharp^{-1} Q_L with Q_sharp^{-1} = -(3/s) I + (9/2s) n n^T (the
+    # spectrum of Q_sharp is 2s/3, -s/3, -s/3); Q_L n = w_0 n makes K the
+    # symmetric -(3/s) Q_L + (9 w_0/2s) n n^T
+    k_field = -(3.0 / s) * q_l.values + (9.0 / (2.0 * s)) * (
+        w_l[..., 0, None, None] * outer(n, n)
+    )
 
     lap_qs = laplacian_array(q_sharp, h)
     grads_qs = gradient_array(q_sharp, h)
@@ -240,20 +248,21 @@ def projection_residual(
     q_in = q_l.interior
     k_in = k_field[_IN, _IN, _IN]
 
+    # Q_L and the gradients G_a of Q_sharp and K_a of K are symmetric, so
+    # sum K_a G_a = (sum G_a K_a)^T and the commutator source W = Y - Y^T
+    # is antisymmetric
     gsq = grad_squared(grads_qs)
-    w = (
-        2.0 * (matmul_sum(grads_qs, grads_k) @ qs_in)
-        - 2.0 * (qs_in @ matmul_sum(grads_k, grads_qs))
-        - (1.0 / s) * (q_in @ gsq)
-        + (1.0 / s) * (gsq @ q_in)
-    )
+    y = 2.0 * (matmul_sum(grads_qs, grads_k) @ qs_in) - (1.0 / s) * (q_in @ gsq)
+    w = y - np.swapaxes(y, -1, -2)
 
-    tr_k = np.trace(k_in, axis1=-2, axis2=-1)[..., None, None]
-    t = q_in - (2.0 / 9.0) * s * tr_k * I3 + beta * (qs_in / s + I3 / 3.0)
-    # t is symmetric, so its 2-norm condition number is max|w| / min|w|
-    abs_eig = np.abs(eigh_descending(t)[0])
+    # T = Q_L - (2/9) s tr(K) I + beta n n^T has Q_L's eigenvectors, and its
+    # eigenvalues are Q_L's shifted (beta on the top one only)
+    tr_k = np.trace(k_in, axis1=-2, axis2=-1)
+    lam = w_l[_IN, _IN, _IN] - ((2.0 / 9.0) * s * tr_k)[..., None]
+    lam[..., 0] += beta
+    abs_lam = np.abs(lam)
     with np.errstate(divide="ignore", invalid="ignore"):
-        cond = np.max(abs_eig, axis=-1) / np.min(abs_eig, axis=-1)
+        cond = np.max(abs_lam, axis=-1) / np.min(abs_lam, axis=-1)
     if not np.all(cond <= _COND_LIMIT):  # also catches NaN
         idx = np.unravel_index(int(np.argmax(cond)), cond.shape)
         raise IllConditionedT(
@@ -261,12 +270,14 @@ def projection_residual(
             f"{float(cond[idx]):.3e}"
         )
 
-    # one solve for T^{-1} P W and (W P T^{-1})^T = T^{-1} (W P)^T
+    # T^{-1} P W and (W P T^{-1})^T = -T^{-1} P W, as (W P)^T = -P W: one
+    # solve Z = V diag(1/lam) V^T P W gives the correction Z + Z^T
     proj = qs_in / s - (2.0 / 3.0) * I3
-    x = np.linalg.solve(
-        t, np.concatenate([proj @ w, np.swapaxes(w @ proj, -1, -2)], axis=-1)
-    )
-    correction = x[..., :3] - np.swapaxes(x[..., 3:], -1, -2)
+    v_in = v[_IN, _IN, _IN]
+    z = np.swapaxes(v_in, -1, -2) @ (proj @ w)
+    z /= lam[..., :, None]
+    z = v_in @ z
+    correction = z + np.swapaxes(z, -1, -2)
 
     rhs = harmonic_rhs_array(qs_in, grads_qs, s, form="ii") - correction
     return norm(lap_qs - rhs)

@@ -149,7 +149,7 @@ def _dispatch(args, cfg) -> int:
             rep = runner.run_corrector(
                 cfg, log=log, center_exclusion=args.center_exclusion
             )
-        except ValueError as exc:  # the exclusion radius leaves no node
+        except ValueError as exc:  # a center exclusion that cannot apply
             print(f"error: {exc}", file=sys.stderr)
             return 2
         for key, value in rep.items():

@@ -143,13 +143,13 @@ def poisson_dirichlet(rhs: np.ndarray, h: np.ndarray) -> np.ndarray:
 def gradient_array(values: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Centered-difference gradient at the inner nodes [1:-1]^3; axis 0
     stacks the three directions."""
-    return np.stack(
-        [
-            (values[2:, _IN, _IN] - values[:-2, _IN, _IN]) / (2.0 * h[0]),
-            (values[_IN, 2:, _IN] - values[_IN, :-2, _IN]) / (2.0 * h[1]),
-            (values[_IN, _IN, 2:] - values[_IN, _IN, :-2]) / (2.0 * h[2]),
-        ]
-    )
+    out = np.empty((3,) + values[_IN, _IN, _IN].shape)
+    for axis in range(3):
+        fwd, bwd = [_IN] * 3, [_IN] * 3
+        fwd[axis], bwd[axis] = slice(2, None), slice(None, -2)
+        np.subtract(values[tuple(fwd)], values[tuple(bwd)], out=out[axis])
+        out[axis] /= 2.0 * h[axis]
+    return out
 
 
 def edge_grad_squared(values: np.ndarray, h: np.ndarray) -> np.ndarray:

@@ -19,6 +19,7 @@ from .tensor_algebra import (
     frobenius,
     matmul_sum,
     norm,
+    outer,
     poly_min,
 )
 
@@ -51,23 +52,27 @@ class MaterialParams:
 def uniaxial(director: np.ndarray, s_plus: float) -> np.ndarray:
     """s_+ (n (x) n - I/3) for unit director(s) n of shape (..., 3)."""
     n = np.asarray(director, dtype=float)
-    return s_plus * (n[..., :, None] * n[..., None, :] - I3 / 3.0)
+    return s_plus * (outer(n, n) - I3 / 3.0)
 
 
 def require_on_manifold(q: np.ndarray, s_plus: float, error, what: str) -> None:
     """Raise error, an LdglimitError subclass, with a message naming `what`
     when the minimal-polynomial residual of some tensor of q exceeds
-    1e-8 max(1, s_+^2)."""
+    1e-8 max(1, s_+^2) or is not finite."""
     res = float(np.max(norm(poly_min(q, s_plus))))
-    if res > 1e-8 * max(1.0, s_plus**2):
+    if not res <= 1e-8 * max(1.0, s_plus**2):  # a NaN residual fails too
         raise error(f"{what} leaves the manifold (residual {res:.3e})")
 
 
-def project_array(q: np.ndarray, p: MaterialParams) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest-point projection of tensors of shape (..., 3, 3).
+def projection_frame(
+    q: np.ndarray, p: MaterialParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """Descending eigenvalues and eigenvectors (eigh_descending) of tensors
+    of shape (..., 3, 3), checked for the nearest-point projection: its
+    director is the first eigenvector column.
 
-    Returns (projected tensors, directors).  Raises DegenerateSpectrum if any
-    entry fails the eigen-gap precondition or is not finite.
+    Raises DegenerateSpectrum if any entry fails the eigen-gap precondition
+    or is not finite.
     """
     # eigen-gap proxy for the tubular neighborhood where the nearest-point
     # projection is single-valued
@@ -79,7 +84,16 @@ def project_array(q: np.ndarray, p: MaterialParams) -> tuple[np.ndarray, np.ndar
         raise DegenerateSpectrum(
             f"top eigenvalue gap {worst:.3e} below tolerance {gap_tol:.3e}"
         )
-    n = v[..., :, 0]
+    return w, v
+
+
+def project_array(q: np.ndarray, p: MaterialParams) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest-point projection of tensors of shape (..., 3, 3).
+
+    Returns (projected tensors, directors).  Raises DegenerateSpectrum as
+    projection_frame does.
+    """
+    n = projection_frame(q, p)[1][..., :, 0]
     return uniaxial(n, p.s_plus), n
 
 
@@ -179,24 +193,20 @@ def check_identities(
     return {name: float(np.max(r)) for name, r in residuals.items()}
 
 
-def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a[..., :, None] * b[..., None, :]
-
-
 def tangent_basis(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Two Frobenius-orthogonal tangent directions at the manifold point(s)
     with unit director(s) n."""
     u, v = _orthonormal_complement(n)
-    return _outer(n, u) + _outer(u, n), _outer(n, v) + _outer(v, n)
+    return outer(n, u) + outer(u, n), outer(n, v) + outer(v, n)
 
 
 def normal_basis_s0(n: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Three traceless normal directions at the manifold point(s) with unit
     director(s) n, mutually Frobenius-orthogonal."""
     u, v = _orthonormal_complement(n)
-    z1 = 2.0 * _outer(n, n) - _outer(u, u) - _outer(v, v)
-    z2 = _outer(u, u) - _outer(v, v)
-    z3 = _outer(u, v) + _outer(v, u)
+    z1 = 2.0 * outer(n, n) - outer(u, u) - outer(v, v)
+    z2 = outer(u, u) - outer(v, v)
+    z3 = outer(u, v) + outer(v, u)
     return z1, z2, z3
 
 

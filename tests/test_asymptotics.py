@@ -39,6 +39,7 @@ from ldglimit.geometry import (
     MaterialParams,
     harmonic_rhs_array,
     normal_component,
+    project_array,
     uniaxial,
 )
 from ldglimit.tensor_algebra import I3, norm, qtensor
@@ -137,6 +138,13 @@ def test_corrector_a_constant_field_and_validation():
     off.values[...] = qtensor(np.diag([0.4, 0.1, -0.5]))
     with pytest.raises(NotOnManifold):
         corrector_a(off, p)
+    # one NaN node is off the manifold too; it must not pass as NaN
+    # corrector entries
+    small = GridSpec(dims=(6, 6, 6), box=((0.0, 3.0),) * 3)
+    nan_node = boundary_near_constant(small, p, 0.2)
+    nan_node.values[3, 4, 2] = np.nan
+    with pytest.raises(NotOnManifold):
+        corrector_a(nan_node, p)
 
 
 def test_corrector_a_hedgehog_closed_form():
@@ -286,6 +294,65 @@ def test_projection_residual_beta_independence():
     assert np.mean(r1) == pytest.approx(0.19508472011734196, rel=1e-10)
     with pytest.raises(ValueError):
         projection_residual(f, p, beta=0.0)
+
+
+def _projection_residual_oracle(q_l, p, beta):
+    """The projection-equation residual with the inversion matrix T built
+    explicitly: T X = [P W | (W P)^T] solved densely and cond(T) from
+    np.linalg.cond.  Returns (residual, largest cond(T))."""
+    s = p.s_plus
+    h = q_l.grid.h
+    q_sharp, n = project_array(q_l.values, p)
+    nn = n[..., :, None] * n[..., None, :]
+    k_field = (-(3.0 / s) * I3 + (9.0 / (2.0 * s)) * nn) @ q_l.values
+    grads_qs = gradient_array(q_sharp, h)
+    grads_k = gradient_array(k_field, h)
+    qs_in = q_sharp[_IN, _IN, _IN]
+    q_in = q_l.interior
+
+    def summed(a, b):
+        return np.einsum("a...ij,a...jk->...ik", a, b)
+
+    gsq = summed(grads_qs, grads_qs)
+    w = (
+        2.0 * summed(grads_qs, grads_k) @ qs_in
+        - 2.0 * qs_in @ summed(grads_k, grads_qs)
+        - (q_in @ gsq - gsq @ q_in) / s
+    )
+    tr_k = np.trace(k_field[_IN, _IN, _IN], axis1=-2, axis2=-1)
+    t = q_in - (2.0 / 9.0) * s * tr_k[..., None, None] * I3 + beta * (
+        qs_in / s + I3 / 3.0
+    )
+    proj = qs_in / s - (2.0 / 3.0) * I3
+    x = np.linalg.solve(
+        t, np.concatenate([proj @ w, np.swapaxes(w @ proj, -1, -2)], axis=-1)
+    )
+    correction = x[..., :3] - np.swapaxes(x[..., 3:], -1, -2)
+    rhs = harmonic_rhs_array(qs_in, grads_qs, s, form="ii") - correction
+    lap_qs = laplacian_array(q_sharp, h)
+    return norm(lap_qs - rhs), float(np.max(np.linalg.cond(t)))
+
+
+@pytest.mark.parametrize("field", ["smooth_generic", "perturbed_manifold"])
+def test_projection_residual_matches_dense_oracle(monkeypatch, field):
+    """The residual from the projection's own eigenframe agrees with the
+    dense solve, and its condition check reads the same spectrum."""
+    p = make_params()
+    s = p.s_plus
+    if field == "smooth_generic":
+        f = smooth_generic_field(p)
+    else:
+        f = smooth_manifold_field(p)
+        rng = np.random.default_rng(7)
+        f.values[...] += 1e-3 * s * qtensor(rng.normal(size=f.values.shape))
+    for beta in (s, 2.0 * s):
+        ref, cond = _projection_residual_oracle(f, p, beta)
+        monkeypatch.setattr(asymptotics, "_COND_LIMIT", cond * (1.0 + 1e-9))
+        res = projection_residual(f, p, beta=beta)
+        assert np.max(np.abs(res - ref)) <= 1e-12 * np.max(ref)
+        monkeypatch.setattr(asymptotics, "_COND_LIMIT", cond * (1.0 - 1e-9))
+        with pytest.raises(IllConditionedT):
+            projection_residual(f, p, beta=beta)
 
 
 def test_projection_residual_failure_modes(monkeypatch):

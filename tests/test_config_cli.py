@@ -150,14 +150,20 @@ def test_cli_rejects_bad_config(tmp_path, capsys, line):
         ["corrector", "--center-exclusion", "nan"],
         # no interior node of the [-1,1]^3 box lies this far from its center
         ["corrector", "--center-exclusion", "100"],
+        # the near-constant boundary has no center to exclude
+        ["corrector", "--center-exclusion", "0.5", "--config", "near_constant.cfg"],
     ],
 )
-def test_cli_rejects_bad_arguments(tmp_path, capsys, args):
-    """An out-of-range number is a bad argument: exit 2 with one error
-    line and no other output."""
-    cfg_path = tmp_path / "hedgehog.cfg"
-    tiny_config(boundary="hedgehog", box_lo=-1.0, box_hi=1.0).save(cfg_path)
-    assert main(args + ["--config", str(cfg_path)]) == 2
+def test_cli_rejects_bad_arguments(tmp_path, capsys, monkeypatch, args):
+    """An out-of-range number, or a flag the configured boundary cannot
+    use, is a bad argument: exit 2 with one error line and no other output.
+    Cases without their own --config run on a hedgehog config."""
+    monkeypatch.chdir(tmp_path)
+    tiny_config(boundary="hedgehog", box_lo=-1.0, box_hi=1.0).save("hedgehog.cfg")
+    tiny_config().save("near_constant.cfg")
+    if "--config" not in args:
+        args = args + ["--config", "hedgehog.cfg"]
+    assert main(args) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")

@@ -5,6 +5,7 @@ determinism."""
 import numpy as np
 import pytest
 
+from ldglimit import runner
 from ldglimit.config import ExperimentConfig
 from ldglimit.geometry import MaterialParams, harmonic_rhs_array
 from ldglimit.fields import GridSpec, gradient_array, laplacian_array
@@ -41,12 +42,18 @@ def test_geometry_suite_passes():
     assert ok
     for name, value in results.items():
         assert value <= CHECK_TOLERANCES.get(name, 1e-10), name
+    # an empty suite is refused, not passed
+    with pytest.raises(ValueError):
+        run_check_geometry(seed=0, trials=0)
 
 
-def test_geometry_suite_is_deterministic():
+def test_geometry_suite_is_deterministic(monkeypatch):
     a = geometry_identity_suite(seed=3, trials=500)
     b = geometry_identity_suite(seed=3, trials=500)
     assert a == b
+    # the block size the checks run in does not change a bit of the result
+    monkeypatch.setattr(runner, "_SUITE_BLOCK", 7)
+    assert geometry_identity_suite(seed=3, trials=500) == a
 
 
 def test_geometry_suite_mutation_fails():

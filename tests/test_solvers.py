@@ -393,7 +393,13 @@ def test_non_finite_start_raises_at_once(monkeypatch, solve):
 
     patch_ldg_step(monkeypatch, no_step)
     monkeypatch.setattr(solvers, "project_array", no_step)
-    with pytest.raises(LdglimitError, match="starting energy is not finite"):
+    if solve is solve_harmonic:
+        # the projected flow first checks its whole start for the manifold,
+        # and a NaN node fails that check
+        expected = pytest.raises(NotOnManifold, match="initial field")
+    else:
+        expected = pytest.raises(LdglimitError, match="starting energy is not finite")
+    with expected:
         solve(init, p, SolveConfig(max_iters=100))
 
 

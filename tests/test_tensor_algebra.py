@@ -5,6 +5,7 @@ oracles."""
 import numpy as np
 import pytest
 
+from ldglimit import tensor_algebra
 from ldglimit.tensor_algebra import (
     I3,
     anticomm,
@@ -154,6 +155,13 @@ def test_eigh_descending_batched(rng):
     # a strided (non-contiguous) input gives the same result
     w_nc, _ = eigh_descending(np.swapaxes(np.swapaxes(q, -1, -2)[::2], -1, -2))
     assert np.array_equal(w_nc, eigh_descending(q[::2])[0])
+    # a batch one block and five matrices long gives, bit for bit, what
+    # its two pieces give on their own
+    b = tensor_algebra._EIGH_BLOCK
+    w, v = eigh_descending(q[:b + 5])
+    pieces = [eigh_descending(q[:b]), eigh_descending(q[b:b + 5])]
+    assert np.array_equal(w, np.concatenate([pieces[0][0], pieces[1][0]]))
+    assert np.array_equal(v, np.concatenate([pieces[0][1], pieces[1][1]]))
 
 
 def test_trace3_and_matmul_sum_einsum_oracle(rng):
