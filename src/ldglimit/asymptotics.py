@@ -1,8 +1,7 @@
 """Diagnostics for the small-elastic-constant family of minimizers: the
 rescaled minimal-polynomial residual and its derived combinations, the
 rewritten equation's remainder, the first-order corrector split, the
-linearized operator, the manifold-projection equation residual, and log-log
-rate fitting.
+manifold-projection equation residual, and log-log rate fitting.
 
 Field-valued results are arrays over interior nodes (one stencil layer off
 each result that needs second differences of derived quantities).
@@ -108,10 +107,9 @@ def rewritten_identity_residual(q_l: TensorField, p: MaterialParams) -> np.ndarr
     Algebraically this collapses to the discrete Euler-Lagrange residual, so
     it is bounded by the solver's reported el_residual up to rounding.
     """
-    s = p.s_plus
     lap = laplacian_array(q_l.values, q_l.grid.h)
     gsq = edge_grad_squared(q_l.values, q_l.grid.h)
-    rhs = -(4.0 / s**2) * ((q_l.interior - (s / 6.0) * I3) @ gsq)
+    rhs = harmonic_rhs_array(q_l.interior, gsq, p.s_plus)
     r = _diagnostics(q_l, p, gsq).r_field
     return norm(lap - rhs - r)
 
@@ -165,7 +163,7 @@ def corrector_b_residual(
     lap_a = laplacian_array(a, h)
     grads_b = gradient_array(b, h)
     grads_q = gradient_array(q_star.values, h)[:, _IN, _IN, _IN]
-    gn2 = grad_norm2(gradient_array(q_star.values, h))[_IN, _IN, _IN]
+    gn2 = grad_norm2(grads_q)
 
     # tangential projections at the local limit point
     grads_b_tan = grads_b - normal_component(grads_b, q_in, s)
@@ -178,35 +176,10 @@ def corrector_b_residual(
     rhs = (
         -p.b2 * (b_in @ a_in + a_in @ b_in)
         - p.c2 * _coupling(p) * gn2[..., None, None] * b_in
-        - (4.0 / s**2) * (cross @ (q_in - (s / 6.0) * I3))
+        + harmonic_rhs_array(q_in, cross, s, form="iii")
         - lap_a_tan
     )
     return norm(lap_b - rhs)
-
-
-def linearized_apply(
-    q_star: TensorField, psi: TensorField, p: MaterialParams
-) -> np.ndarray:
-    """Apply the linearization of the harmonic-map residual map at the limit
-    field to a perturbation vanishing on the boundary."""
-    if q_star.grid != psi.grid:
-        raise GridMismatch("fields live on different grids")
-    bmask = psi.boundary_mask()
-    bmax = float(np.max(norm(psi.values[bmask])))
-    if bmax > 1e-10 * max(1.0, float(np.max(norm(psi.values)))):
-        raise ValueError("perturbation must vanish on the boundary")
-    s = p.s_plus
-    h = q_star.grid.h
-    q = q_star.interior
-    grads_q = gradient_array(q_star.values, h)
-    grads_psi = gradient_array(psi.values, h)
-    lap_psi = laplacian_array(psi.values, h)
-    mixed = matmul_sum(grads_q, grads_psi) + matmul_sum(grads_psi, grads_q)
-    return (
-        lap_psi
-        + (4.0 / s**2) * ((q - (s / 6.0) * I3) @ mixed)
-        + (4.0 / s**2) * (psi.interior @ grad_squared(grads_q))
-    )
 
 
 def projection_residual(
@@ -279,7 +252,7 @@ def projection_residual(
     z = v_in @ z
     correction = z + np.swapaxes(z, -1, -2)
 
-    rhs = harmonic_rhs_array(qs_in, grads_qs, s, form="ii") - correction
+    rhs = harmonic_rhs_array(qs_in, gsq, s, form="ii") - correction
     return norm(lap_qs - rhs)
 
 

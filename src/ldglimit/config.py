@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .fields import GridSpec
+from .fields import GridSpec, interior_margin_mask
 from .geometry import MaterialParams
 from .solvers import SolveConfig
 
@@ -39,8 +39,8 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         """Reject non-finite numbers, build the material parameters of every
-        ladder L, the grid and the solver settings, which check their own
-        fields, then check what no type owns."""
+        ladder L, the grid with its margin mask and the solver settings,
+        which check their own fields, then check what no type owns."""
         for f in fields(self):
             value = getattr(self, f.name)
             for x in value if isinstance(value, tuple) else (value,):
@@ -53,19 +53,15 @@ class ExperimentConfig:
             MaterialParams(self.a2, self.b2, self.c2, L=L)
         if any(nxt >= prev for prev, nxt in zip(ladder, ladder[1:])):
             raise ValueError("l_ladder must be strictly decreasing")
-        self.grid()
+        interior_margin_mask(self.grid(), self.margin)
         self.solve_config()
         if self.boundary not in ("near_constant", "hedgehog"):
             raise ValueError(f"unknown boundary {self.boundary!r}")
         if self.eps < 0:
             raise ValueError("eps must be nonnegative")
         h = (self.box_hi - self.box_lo) / (min(self.dims) + 1)
-        if self.margin < 0:
-            raise ValueError("margin must be nonnegative")
         if self.margin and self.margin < 2.0 * h:
             raise ValueError("margin must be 0 or at least two node spacings")
-        if self.margin >= (self.box_hi - self.box_lo) / 2.0:
-            raise ValueError("margin must be below half the box width")
 
     def grid(self) -> GridSpec:
         """The cubic box [box_lo, box_hi]^3 with dims interior nodes."""

@@ -273,7 +273,7 @@ def boundary_near_constant(
 
 def interior_margin_mask(grid: GridSpec, margin: float) -> np.ndarray:
     """Boolean mask over interior nodes at distance >= margin from the box
-    boundary."""
+    boundary.  Raises ValueError if no interior node lies that far in."""
     widths = [hi - lo for lo, hi in grid.box]
     if margin < 0 or margin >= min(widths) / 2.0:
         raise ValueError("margin must lie in [0, half box width)")
@@ -282,6 +282,8 @@ def interior_margin_mask(grid: GridSpec, margin: float) -> np.ndarray:
     for axis, (lo, hi) in enumerate(grid.box):
         x = coords[..., axis]
         mask &= (x - lo >= margin - 1e-12) & (hi - x >= margin - 1e-12)
+    if not mask.any():
+        raise ValueError(f"margin {margin:g} leaves no interior node")
     return mask
 
 
@@ -295,7 +297,7 @@ def norms(f: TensorField, g: TensorField, margin: float = 0.0) -> dict[str, floa
     grads = gradient_array(diff, f.grid.h)
     h1 = float(np.sqrt(np.einsum("axyzij,axyzij->", grads, grads) * vol))
     mask = interior_margin_mask(f.grid, margin)
-    sup = float(np.max(norm(d_int)[mask])) if np.any(mask) else 0.0
+    sup = float(np.max(norm(d_int)[mask]))
     return {"l2": l2, "h1_semi": h1, "sup_interior": sup}
 
 

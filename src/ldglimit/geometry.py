@@ -140,13 +140,14 @@ def grad_norm2(grads) -> np.ndarray:
 
 
 def harmonic_rhs_array(
-    q: np.ndarray, grads: np.ndarray, s_plus: float, form: str = "iv"
+    q: np.ndarray, gsq: np.ndarray, s_plus: float, form: str = "iv"
 ) -> np.ndarray:
     """Right-hand side of the harmonic-map equation, batched, no tangency
-    checks.  `grads` stacks the three directional derivatives on axis 0."""
-    gsq = grad_squared(grads)
+    checks.  `gsq` is the squared gradient sum_a G_a G_a (grad_squared,
+    edge_grad_squared) or any symmetric sum of products of gradients; form
+    ii takes |grad Q|^2 as its trace."""
     if form == "ii":
-        gn2 = grad_norm2(grads)[..., None, None]
+        gn2 = np.trace(gsq, axis1=-2, axis2=-1)[..., None, None]
         return (
             -(2.0 / s_plus**2) * gn2 * q
             + (2.0 / s_plus) * (gsq - gn2 / 3.0 * I3)

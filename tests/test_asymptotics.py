@@ -1,11 +1,10 @@
 """Expansion diagnostics: X/Y/Z fields, the rewritten-equation remainder,
-corrector split, linearized operator, projection-equation residual, and
-rate fitting."""
+corrector split, projection-equation residual, and rate fitting."""
 
 import numpy as np
 import pytest
 
-from ldglimit import asymptotics
+from ldglimit import asymptotics, geometry
 from ldglimit.asymptotics import (
     CorrectorFields,
     DiagnosticFields,
@@ -15,7 +14,6 @@ from ldglimit.asymptotics import (
     corrector_b_residual,
     empirical_corrector,
     fit_rate,
-    linearized_apply,
     projection_residual,
     rewritten_identity_residual,
 )
@@ -37,6 +35,7 @@ from ldglimit.fields import (
 )
 from ldglimit.geometry import (
     MaterialParams,
+    grad_squared,
     harmonic_rhs_array,
     normal_component,
     project_array,
@@ -70,21 +69,6 @@ def smooth_generic_field(p):
     pert = qtensor(np.array([[0.3, 0.1, 0.0], [0.1, -0.2, 0.05], [0.0, 0.05, -0.1]]))
     f.values[...] = f.values + 0.05 * bump[..., None, None] * pert
     return f
-
-
-def boundary_zero_bump(scale=0.1):
-    c = GRID.coords()
-    bump = (
-        np.sin(np.pi * c[..., 0] / 4.0)
-        * np.sin(np.pi * c[..., 1] / 4.0)
-        * np.sin(np.pi * c[..., 2] / 4.0)
-    )
-    pert = qtensor(np.array([[0.3, 0.1, 0.0], [0.1, -0.2, 0.05], [0.0, 0.05, -0.1]]))
-    psi = zeros_field(GRID)
-    psi.values[...] = scale * bump[..., None, None] * pert
-    # sin vanishes at the box faces only up to rounding; zero it exactly
-    psi.values[psi.boundary_mask()] = 0.0
-    return psi
 
 
 def test_compute_xyz_zero_on_constant_manifold_field():
@@ -215,71 +199,34 @@ def test_corrector_b_residual_detects_perturbation():
     assert res[4, 4, 4] > 1e-3  # inner-node indexing is offset by one
 
 
-def test_linearized_apply_constant_base_is_laplacian():
-    p = make_params()
-    q_star = zeros_field(GRID)
-    q_star.values[...] = uniaxial(np.array([0.0, 0.0, 1.0]), p.s_plus)
-    psi = boundary_zero_bump()
-    out = linearized_apply(q_star, psi, p)
-    lap = laplacian_array(psi.values, GRID.h)
-    assert np.max(np.abs(out - lap)) < 1e-12
-
-
-def test_linearized_apply_is_linear(rng):
-    p = make_params()
-    q_star = smooth_manifold_field(p)
-    psi1 = boundary_zero_bump(0.07)
-    psi2 = boundary_zero_bump(0.02)
-    psi2.values[...] = np.roll(psi2.values, 1, axis=0)
-    psi2.values[psi2.boundary_mask()] = 0.0
-    combo = zeros_field(GRID)
-    combo.values[...] = 2.0 * psi1.values - 3.0 * psi2.values
-    lhs = linearized_apply(q_star, combo, p)
-    rhs = 2.0 * linearized_apply(q_star, psi1, p) - 3.0 * linearized_apply(q_star, psi2, p)
-    assert np.max(np.abs(lhs - rhs)) < 1e-11
-
-
-def test_linearized_apply_matches_gateaux_derivative():
-    p = make_params()
-    s = p.s_plus
-    q_star = smooth_manifold_field(p)
-    psi = boundary_zero_bump()
-
-    def residual_map(vals):
-        g = gradient_array(vals, GRID.h)
-        return laplacian_array(vals, GRID.h) - harmonic_rhs_array(
-            vals[_IN, _IN, _IN], g, s, form="iv"
-        )
-
-    t = 1e-4
-    fd = (residual_map(q_star.values + t * psi.values)
-          - residual_map(q_star.values - t * psi.values)) / (2.0 * t)
-    lin = linearized_apply(q_star, psi, p)
-    assert np.max(norm(fd - lin)) < 1e-7
-
-
-def test_linearized_apply_boundary_guard():
-    p = make_params()
-    q_star = smooth_manifold_field(p)
-    psi = zeros_field(GRID)
-    psi.values[...] = 0.01 * np.diag([2.0, -1.0, -1.0]) / np.sqrt(6)
-    with pytest.raises(ValueError):
-        linearized_apply(q_star, psi, p)
-    with pytest.raises(GridMismatch):
-        linearized_apply(q_star, zeros_field(GridSpec(dims=(4, 4, 4))), p)
-
-
 def test_projection_residual_on_manifold_matches_harmonic():
     p = make_params()
     s = p.s_plus
     f = smooth_manifold_field(p)
     pres = projection_residual(f, p)
-    g = gradient_array(f.values, GRID.h)
+    gsq = grad_squared(gradient_array(f.values, GRID.h))
     href = norm(
         laplacian_array(f.values, GRID.h)
-        - harmonic_rhs_array(f.interior, g, s, form="ii")
+        - harmonic_rhs_array(f.interior, gsq, s, form="ii")
     )
     assert np.max(np.abs(pres - href)) < 1e-10 * (1.0 + float(np.max(href)))
+
+
+def test_projection_residual_squares_the_gradient_once(monkeypatch):
+    """projection_residual hands the squared gradient it forms to the
+    harmonic right-hand side instead of squaring the gradients again."""
+    p = make_params()
+    calls = []
+    original = geometry.grad_squared
+
+    def counted(grads):
+        calls.append(None)
+        return original(grads)
+
+    monkeypatch.setattr(asymptotics, "grad_squared", counted)
+    monkeypatch.setattr(geometry, "grad_squared", counted)
+    projection_residual(smooth_generic_field(p), p)
+    assert len(calls) == 1
 
 
 def test_projection_residual_beta_independence():
@@ -328,7 +275,7 @@ def _projection_residual_oracle(q_l, p, beta):
         t, np.concatenate([proj @ w, np.swapaxes(w @ proj, -1, -2)], axis=-1)
     )
     correction = x[..., :3] - np.swapaxes(x[..., 3:], -1, -2)
-    rhs = harmonic_rhs_array(qs_in, grads_qs, s, form="ii") - correction
+    rhs = harmonic_rhs_array(qs_in, gsq, s, form="ii") - correction
     lap_qs = laplacian_array(q_sharp, h)
     return norm(lap_qs - rhs), float(np.max(np.linalg.cond(t)))
 

@@ -91,6 +91,7 @@ def test_parse_rejects_bad_lines(text):
         dict(l_ladder=(0.1, float("nan"))),
         dict(margin=float("nan")),
         dict(residual_tol=float("inf")),
+        dict(dims=(4, 4, 4), margin=3.9),   # below half width, no node inside
     ],
 )
 def test_config_validation_errors(overrides):
@@ -122,6 +123,8 @@ def test_cli_threads_validation(capsys):
         "a2=nan",
         "eps=nan",
         "l_ladder=nan",
+        # every interior node of the default box lies within the margin
+        "dims=4,4,4\nmargin=3.9",
     ],
 )
 def test_cli_rejects_bad_config(tmp_path, capsys, line):

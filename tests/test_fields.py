@@ -217,6 +217,9 @@ def test_interior_margin_mask():
         interior_margin_mask(grid, 3.6)
     with pytest.raises(ValueError):
         interior_margin_mask(grid, -1.0)
+    # below half the width (3.5) but past every node (1..6)
+    with pytest.raises(ValueError, match="no interior node"):
+        interior_margin_mask(grid, 3.4)
 
 
 def test_norms_hand_example(rng):

@@ -238,15 +238,16 @@ def test_harmonic_rhs_forms_agree_on_tangents(rng, unit_params):
             rng.normal() * t1 + rng.normal() * t2,
             rng.normal() * t1 + rng.normal() * t2,
         ])
-        r2 = harmonic_rhs_array(q, grads, s, form="ii")
-        r3 = harmonic_rhs_array(q, grads, s, form="iii")
-        r4 = harmonic_rhs_array(q, grads, s, form="iv")
+        gsq = grad_squared(grads)
+        r2 = harmonic_rhs_array(q, gsq, s, form="ii")
+        r3 = harmonic_rhs_array(q, gsq, s, form="iii")
+        r4 = harmonic_rhs_array(q, gsq, s, form="iv")
         assert np.max(np.abs(r2 - r4)) < 1e-10
         assert np.max(np.abs(r3 - r4)) < 1e-10
     # zero gradients give zero
-    assert np.max(np.abs(harmonic_rhs_array(q, np.zeros((3, 3, 3)), s))) == 0.0
+    assert np.max(np.abs(harmonic_rhs_array(q, np.zeros((3, 3)), s))) == 0.0
     with pytest.raises(ValueError):
-        harmonic_rhs_array(q, np.zeros((3, 3, 3)), s, form="v")
+        harmonic_rhs_array(q, np.zeros((3, 3)), s, form="v")
 
 
 def test_grad_squared_einsum_oracle(rng):

@@ -5,9 +5,9 @@ determinism."""
 import numpy as np
 import pytest
 
-from ldglimit import runner
+from ldglimit import geometry, runner
 from ldglimit.config import ExperimentConfig
-from ldglimit.geometry import MaterialParams, harmonic_rhs_array
+from ldglimit.geometry import MaterialParams, grad_squared, harmonic_rhs_array
 from ldglimit.fields import GridSpec, gradient_array, laplacian_array
 from ldglimit.runner import (
     CHECK_TOLERANCES,
@@ -56,10 +56,16 @@ def test_geometry_suite_is_deterministic(monkeypatch):
     assert geometry_identity_suite(seed=3, trials=500) == a
 
 
-def test_geometry_suite_mutation_fails():
+def test_geometry_suite_mutation_fails(monkeypatch):
     """Scaling the base points off the manifold must blow up the residuals;
     the suite is capable of failing."""
-    bad = geometry_identity_suite(seed=0, trials=500, s_scale=1.05)
+    good = geometry_identity_suite(seed=0, trials=500)
+    assert max(good.values()) < 1e-3
+    with monkeypatch.context() as m:
+        m.setattr(
+            runner, "uniaxial", lambda n, s: geometry.uniaxial(n, 1.05 * s)
+        )
+        bad = geometry_identity_suite(seed=0, trials=500)
     assert max(bad.values()) > 1e-3
     ok, _ = run_check_geometry(seed=0, trials=500, tol=1e-30)
     assert not ok
@@ -202,7 +208,9 @@ def test_run_sweep_logs_limit_solve():
     q = report.q_star
     h = q.grid.h
     rhs = harmonic_rhs_array(
-        q.interior, gradient_array(q.values, h), MaterialParams(1.0, 1.0, 1.0).s_plus
+        q.interior,
+        grad_squared(gradient_array(q.values, h)),
+        MaterialParams(1.0, 1.0, 1.0).s_plus,
     )
     consistency = float(np.max(norm(laplacian_array(q.values, h) - rhs)))
     assert float(fields["rhs_consistency"]) == float(f"{consistency:.6e}")
