@@ -22,7 +22,6 @@ from .fields import (
 )
 from .geometry import (
     MaterialParams,
-    grad_norm2,
     grad_squared,
     harmonic_rhs_array,
     normal_component,
@@ -91,10 +90,10 @@ def _diagnostics(
 
     x = poly_min(q, s) / p.L
     y = np.trace(x, axis1=-2, axis2=-1) + k * gn2
-    z = x - (1.0 / (p.b2 * s**2)) * (
-        -(s**2) * k * gn2[..., None, None] * (p.c2 * q + (p.b2 / 3.0) * I3)
-        + 4.0 * ((q - (s / 6.0) * I3) @ gsq)
-    )
+    z = x + (
+        k * gn2[..., None, None] * (p.c2 * q + (p.b2 / 3.0) * I3)
+        + harmonic_rhs_array(q, gsq, s)
+    ) / p.b2
     r = p.c2 * y[..., None, None] * q + (p.b2 / 3.0) * y[..., None, None] * I3 \
         - p.b2 * z
     return DiagnosticFields(x_field=x, y_field=y, z_field=z, r_field=r)
@@ -120,9 +119,8 @@ def corrector_a(q_star: TensorField, p: MaterialParams) -> np.ndarray:
     s = p.s_plus
     require_on_manifold(q_star.values, s, NotOnManifold, "limit field")
     q = q_star.interior
-    grads = gradient_array(q_star.values, q_star.grid.h)
-    gn2 = grad_norm2(grads)[..., None, None]
-    gsq = grad_squared(grads)
+    gsq = grad_squared(gradient_array(q_star.values, q_star.grid.h))
+    gn2 = np.trace(gsq, axis1=-2, axis2=-1)[..., None, None]
     k = _coupling(p)
     bracket = k * gn2 * ((p.c2 * q + (p.b2 / 3.0) * I3) @ (q - (s / 6.0) * I3)) - gsq
     return -(2.0 / (p.b2 * s**2)) * bracket
@@ -163,7 +161,7 @@ def corrector_b_residual(
     lap_a = laplacian_array(a, h)
     grads_b = gradient_array(b, h)
     grads_q = gradient_array(q_star.values, h)[:, _IN, _IN, _IN]
-    gn2 = grad_norm2(grads_q)
+    gn2 = np.trace(grad_squared(grads_q), axis1=-2, axis2=-1)
 
     # tangential projections at the local limit point
     grads_b_tan = grads_b - normal_component(grads_b, q_in, s)

@@ -7,6 +7,7 @@ pools, so the heavy imports happen inside main() after --threads is handled.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -83,16 +84,19 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if getattr(args, "out", None):
-        cfg.output_dir = args.out
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
+    if args.out:
+        cfg = dataclasses.replace(cfg, output_dir=args.out)
+    if args.seed is not None:
+        cfg = dataclasses.replace(cfg, seed=args.seed)
 
     try:
         return _dispatch(args, cfg)
     except LdglimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:  # an output path that cannot be written
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def _argument_error(args) -> str | None:

@@ -6,14 +6,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .fields import GridSpec, interior_margin_mask
+from .fields import BOUNDARY_PATTERNS, GridSpec, interior_margin_mask
 from .geometry import MaterialParams
 from .solvers import SolveConfig
 
 
-@dataclass
-class ExperimentConfig:
-    """Everything needed to reproduce a sweep run."""
+@dataclass(frozen=True)
+class ExperimentConfig(SolveConfig):
+    """Everything needed to reproduce a sweep run: the solver settings every
+    solve of the run uses, and the material, grid and boundary data."""
 
     a2: float = 1.0
     b2: float = 1.0
@@ -24,12 +25,7 @@ class ExperimentConfig:
     box_hi: float = 8.0
     boundary: str = "near_constant"
     eps: float = 0.2
-    pattern: str = "tilt_x"
-    dt_safety: float = 0.9
-    max_iters: int = 50000
-    rel_energy_tol: float = 1e-13
-    residual_tol: float = 1e-7
-    log_every: int = 0
+    pattern: str = BOUNDARY_PATTERNS[0]
     margin: float = 2.0
     output_dir: str = "out"
     seed: int = 0
@@ -39,8 +35,8 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         """Reject non-finite numbers, build the material parameters of every
-        ladder L, the grid with its margin mask and the solver settings,
-        which check their own fields, then check what no type owns."""
+        ladder L and the grid with its margin mask, which check their own
+        fields, check the solver settings, then check what no type owns."""
         for f in fields(self):
             value = getattr(self, f.name)
             for x in value if isinstance(value, tuple) else (value,):
@@ -54,9 +50,11 @@ class ExperimentConfig:
         if any(nxt >= prev for prev, nxt in zip(ladder, ladder[1:])):
             raise ValueError("l_ladder must be strictly decreasing")
         interior_margin_mask(self.grid(), self.margin)
-        self.solve_config()
+        super().__post_init__()
         if self.boundary not in ("near_constant", "hedgehog"):
             raise ValueError(f"unknown boundary {self.boundary!r}")
+        if self.pattern not in BOUNDARY_PATTERNS:
+            raise ValueError(f"unknown boundary pattern {self.pattern!r}")
         if self.eps < 0:
             raise ValueError("eps must be nonnegative")
         h = (self.box_hi - self.box_lo) / (min(self.dims) + 1)
@@ -68,25 +66,15 @@ class ExperimentConfig:
         box = ((self.box_lo, self.box_hi),) * 3
         return GridSpec(dims=tuple(self.dims), box=box)
 
-    def solve_config(self) -> SolveConfig:
-        """The gradient-flow settings every solve of the run uses."""
-        return SolveConfig(
-            dt_safety=self.dt_safety,
-            max_iters=self.max_iters,
-            rel_energy_tol=self.rel_energy_tol,
-            residual_tol=self.residual_tol,
-            log_every=self.log_every,
-        )
-
     def serialize(self) -> str:
         """One key=value pair per line, in field order."""
         lines = []
         for f in fields(self):
             v = getattr(self, f.name)
             if isinstance(v, tuple):
-                txt = ",".join(_fmt(x) for x in v)
+                txt = ",".join(format_value(x) for x in v)
             else:
-                txt = _fmt(v)
+                txt = format_value(v)
             lines.append(f"{f.name}={txt}")
         return "\n".join(lines) + "\n"
 
@@ -95,7 +83,9 @@ class ExperimentConfig:
             fh.write(self.serialize())
 
 
-def _fmt(v) -> str:
+def format_value(v) -> str:
+    """The artifact number format: 17 significant digits for a float, which
+    round-trip exactly, and str for anything else."""
     if isinstance(v, float):
         return f"{v:.17g}"
     return str(v)

@@ -19,6 +19,8 @@ from .bulk import f_bulk_shifted
 from .tensor_algebra import norm
 
 _IN = np.s_[1:-1]
+# the director patterns of boundary_near_constant
+BOUNDARY_PATTERNS = ("tilt_x",)
 
 
 @dataclass(frozen=True)
@@ -250,7 +252,8 @@ def boundary_hedgehog(grid: GridSpec, p: MaterialParams) -> TensorField:
 
 
 def boundary_near_constant(
-    grid: GridSpec, p: MaterialParams, eps: float, pattern: str = "tilt_x"
+    grid: GridSpec, p: MaterialParams, eps: float,
+    pattern: str = BOUNDARY_PATTERNS[0],
 ) -> TensorField:
     """On-manifold data close to a constant uniaxial state.
 
@@ -260,7 +263,7 @@ def boundary_near_constant(
     """
     if eps < 0:
         raise ValueError("eps must be nonnegative")
-    if pattern != "tilt_x":
+    if pattern not in BOUNDARY_PATTERNS:
         raise ValueError(f"unknown boundary pattern {pattern!r}")
     lo, hi = grid.box[0]
     xhat = (grid.coords()[..., 0] - lo) / (hi - lo)

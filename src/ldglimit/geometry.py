@@ -133,12 +133,6 @@ def grad_squared(grads) -> np.ndarray:
     return matmul_sum(g, g)
 
 
-def grad_norm2(grads) -> np.ndarray:
-    """|grad Q|^2 = sum over directions of tr((grad_alpha Q)^2)."""
-    g = np.asarray(grads)
-    return np.einsum("a...ij,a...ij->...", g, g)
-
-
 def harmonic_rhs_array(
     q: np.ndarray, gsq: np.ndarray, s_plus: float, form: str = "iv"
 ) -> np.ndarray:

@@ -7,8 +7,9 @@ All drivers are deterministic given a seed and write CSV artifacts with
 
 from __future__ import annotations
 
+import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -18,11 +19,10 @@ from .asymptotics import (
     empirical_corrector,
     fit_rate,
 )
-from .config import ExperimentConfig
+from .config import ExperimentConfig, format_value
 from .errors import DegenerateFit
 from .fields import (
     GridSpec,
-    TensorField,
     boundary_hedgehog,
     boundary_near_constant,
     gradient_array,
@@ -246,7 +246,6 @@ RATE_QUANTITIES = {
 @dataclass
 class SweepReport:
     config: ExperimentConfig
-    q_star: TensorField
     q_star_result: SolveResult
     rows: list = field(default_factory=list)
     fits: dict = field(default_factory=dict)
@@ -276,7 +275,7 @@ def run_solve(cfg: ExperimentConfig, command: str, log=None):
     p = MaterialParams(cfg.a2, cfg.b2, cfg.c2, L=cfg.l_ladder[rung])
     init = _boundary_field(cfg, cfg.grid(), p)
     solve = globals()[solver]
-    res = solve(init, p, cfg.solve_config(), log=log)
+    res = solve(init, p, cfg, log=log)
     os.makedirs(cfg.output_dir, exist_ok=True)
     path = os.path.join(cfg.output_dir, filename)
     save_field_csv(res.field, path)
@@ -289,16 +288,15 @@ def run_sweep(cfg: ExperimentConfig, log=None, write: bool = True) -> SweepRepor
     closed-form normal corrector), rung k at Q_* + (L_k / L_{k-1}) (Q_{L_{k-1}}
     - Q_*); report errors, diagnostics and fitted convergence rates."""
     grid = cfg.grid()
-    scfg = cfg.solve_config()
     mask = interior_margin_mask(grid, cfg.margin)
 
     p0 = MaterialParams(cfg.a2, cfg.b2, cfg.c2, L=cfg.l_ladder[0])
     init = _boundary_field(cfg, grid, p0)
-    star_res = solve_harmonic(init, p0, scfg, log=log)
+    star_res = solve_harmonic(init, p0, cfg, log=log)
     q_star = star_res.field
     a_fd = corrector_a(q_star, p0)
 
-    report = SweepReport(config=cfg, q_star=q_star, q_star_result=star_res)
+    report = SweepReport(config=cfg, q_star_result=star_res)
     prev = None  # (L, Q_L) of the previous rung
     for L in cfg.l_ladder:
         p = MaterialParams(cfg.a2, cfg.b2, cfg.c2, L=L)
@@ -308,7 +306,7 @@ def run_sweep(cfg: ExperimentConfig, log=None, write: bool = True) -> SweepRepor
             guess = q_star.with_interior(
                 q_star.interior + (L / prev[0]) * (prev[1].interior - q_star.interior)
             )
-        res = solve_ldg(guess, p, scfg, log=log)
+        res = solve_ldg(guess, p, cfg, log=log)
         prev = (L, res.field)
         nm = norms(res.field, q_star, margin=cfg.margin)
         diag = compute_xyz(res.field, p)
@@ -331,7 +329,7 @@ def run_sweep(cfg: ExperimentConfig, log=None, write: bool = True) -> SweepRepor
         report.fields_by_l[L] = res.field
         report.results_by_l[L] = res
         if log is not None:
-            log(" ".join(f"{k}={_g(v)}" for k, v in row.items()))
+            log(" ".join(f"{k}={format_value(v)}" for k, v in row.items()))
 
     if log is not None:
         # the O(h^2) consistency residual of the centered-gradient harmonic
@@ -362,12 +360,6 @@ def run_sweep(cfg: ExperimentConfig, log=None, write: bool = True) -> SweepRepor
     return report
 
 
-def _g(v) -> str:
-    if isinstance(v, float):
-        return f"{v:.17g}"
-    return str(v)
-
-
 def write_sweep_artifacts(report: SweepReport) -> None:
     """sweep.csv (one row per ladder point), rates.csv (fitted slopes) and
     one field CSV per ladder point, under the configured output directory."""
@@ -376,17 +368,12 @@ def write_sweep_artifacts(report: SweepReport) -> None:
     with open(os.path.join(out, "sweep.csv"), "w", newline="") as fh:
         fh.write(",".join(SWEEP_COLUMNS) + "\n")
         for row in report.rows:
-            fh.write(",".join(_g(row[c]) for c in SWEEP_COLUMNS) + "\n")
+            fh.write(",".join(format_value(row[c]) for c in SWEEP_COLUMNS) + "\n")
     with open(os.path.join(out, "rates.csv"), "w", newline="") as fh:
         fh.write("quantity,slope,intercept,r_squared\n")
         for name, fit in report.fits.items():
-            if fit is None:
-                fh.write(f"{name},nan,nan,nan\n")
-            else:
-                fh.write(
-                    f"{name},{fit.slope:.17g},{fit.intercept:.17g},"
-                    f"{fit.r_squared:.17g}\n"
-                )
-    save_field_csv(report.q_star, os.path.join(out, "q_star.csv"))
+            values = (math.nan,) * 3 if fit is None else astuple(fit)
+            fh.write(",".join([name, *map(format_value, values)]) + "\n")
+    save_field_csv(report.q_star_result.field, os.path.join(out, "q_star.csv"))
     for i, (L, f) in enumerate(report.fields_by_l.items()):
         save_field_csv(f, os.path.join(out, f"q_l_{i}.csv"))

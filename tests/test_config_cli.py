@@ -1,17 +1,18 @@
 """Configuration round-trips, command-line entry points, the package's
 lazy submodules and the names the benchmark traces."""
 
+import dataclasses
 import importlib.util
 import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import ldglimit
 from ldglimit.cli import main
 from ldglimit.config import ExperimentConfig, load_config, parse_config
+from ldglimit.solvers import SolveConfig
 
 
 def tiny_config(**overrides):
@@ -35,6 +36,25 @@ def test_serialize_parse_round_trip():
                     residual_tol=3.5e-8, boundary="hedgehog"),
     ):
         assert parse_config(cfg.serialize()) == cfg
+
+
+def test_solver_keys_written_first_and_old_order_parses():
+    """The solver settings ExperimentConfig inherits from SolveConfig are
+    serialized first; a file in the earlier order, solver keys after
+    pattern, still parses to the same config."""
+    cfg = ExperimentConfig()
+    keys = [line.split("=")[0] for line in cfg.serialize().splitlines()]
+    assert keys[:5] == [f.name for f in dataclasses.fields(SolveConfig)]
+    old_order = (
+        "a2=1\nb2=1\nc2=1\n"
+        "l_ladder=0.16,0.080000000000000002,0.040000000000000001,0.02\n"
+        "dims=16,16,16\nbox_lo=0\nbox_hi=8\nboundary=near_constant\n"
+        "eps=0.20000000000000001\npattern=tilt_x\n"
+        "dt_safety=0.90000000000000002\nmax_iters=50000\n"
+        "rel_energy_tol=1e-13\nresidual_tol=9.9999999999999995e-08\n"
+        "log_every=0\nmargin=2\noutput_dir=out\nseed=0\n"
+    )
+    assert parse_config(old_order) == cfg
 
 
 def test_save_and_load(tmp_path):
@@ -125,6 +145,8 @@ def test_cli_threads_validation(capsys):
         "l_ladder=nan",
         # every interior node of the default box lies within the margin
         "dims=4,4,4\nmargin=3.9",
+        # a boundary pattern fields.boundary_near_constant does not draw
+        "pattern=tilt_y",
     ],
 )
 def test_cli_rejects_bad_config(tmp_path, capsys, line):
@@ -171,6 +193,23 @@ def test_cli_rejects_bad_arguments(tmp_path, capsys, monkeypatch, args):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["sweep", "solve-ldg"])
+@pytest.mark.parametrize("under_file", [False, True])
+def test_cli_reports_unwritable_out(tmp_path, capsys, command, under_file):
+    """An --out that is an existing file, or a path under one, is a bad
+    argument: one error line and exit 2, not a traceback."""
+    cfg_path = tmp_path / "run.cfg"
+    tiny_config(l_ladder=(0.1,)).save(cfg_path)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    out = blocker / "out" if under_file else blocker
+    assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    assert blocker.read_text() == ""
 
 
 def test_cli_solve_harmonic_and_ldg(tmp_path, capsys):

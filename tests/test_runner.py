@@ -18,7 +18,6 @@ from ldglimit.runner import (
     run_check_geometry,
     run_corrector,
     run_sweep,
-    write_sweep_artifacts,
 )
 from ldglimit.tensor_algebra import I3, norm
 
@@ -140,12 +139,14 @@ def test_run_sweep_single_l_yields_degenerate_fits():
     assert any("degenerate" in line for line in logs)
 
 
-def test_run_sweep_eps_zero_yields_degenerate_fits():
-    cfg = tiny_config(eps=0.0)
-    report = run_sweep(cfg, write=False)
+def test_run_sweep_eps_zero_yields_degenerate_fits(tmp_path):
+    cfg = tiny_config(eps=0.0, output_dir=str(tmp_path))
+    report = run_sweep(cfg)
     # the exact constant solution gives zero errors at every L
     assert all(row["l2_err"] < 1e-12 for row in report.rows)
     assert report.fits["l2_err"] is None
+    # a degenerate fit is written as nan
+    assert "l2_err,nan,nan,nan" in (tmp_path / "rates.csv").read_text().splitlines()
 
 
 def test_default_sweep_rungs_meet_residual(sweep_report):
@@ -158,6 +159,17 @@ def test_default_sweep_rungs_meet_residual(sweep_report):
     star = sweep_report.q_star_result
     assert star.stop_reason == "residual"
     assert star.el_residual <= sweep_report.config.residual_tol
+
+
+def test_run_sweep_passes_log_every_to_every_solve():
+    """The config's log_every reaches the limit solve and every rung: the
+    sweep log holds one iter= line per log_every accepted steps of each."""
+    logs = []
+    report = run_sweep(tiny_config(log_every=3), log=logs.append, write=False)
+    results = [report.q_star_result, *report.results_by_l.values()]
+    expected = sum((len(r.energy_history) - 1) // 3 for r in results)
+    assert expected > 0
+    assert sum(line.startswith("iter=") for line in logs) == expected
 
 
 def test_run_sweep_starts_rungs_from_first_order_predictions(monkeypatch):
@@ -178,7 +190,7 @@ def test_run_sweep_starts_rungs_from_first_order_predictions(monkeypatch):
     monkeypatch.setattr(runner, "solve_ldg", recording_solve)
     cfg = tiny_config()
     report = run_sweep(cfg, write=False)
-    q_star = report.q_star
+    q_star = report.q_star_result.field
     ls = cfg.l_ladder
     mask = q_star.boundary_mask()
     a = corrector_a(q_star, MaterialParams(cfg.a2, cfg.b2, cfg.c2, L=ls[0]))
@@ -205,7 +217,7 @@ def test_run_sweep_logs_limit_solve():
     assert fields["stop"] == star.stop_reason == "residual"
     assert int(fields["iterations"]) == star.iterations
     assert float(fields["residual"]) == float(f"{star.el_residual:.6e}")
-    q = report.q_star
+    q = report.q_star_result.field
     h = q.grid.h
     rhs = harmonic_rhs_array(
         q.interior,

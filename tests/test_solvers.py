@@ -76,6 +76,20 @@ def test_solve_config_validation():
         SolveConfig(rel_energy_tol=1.0)
 
 
+def test_log_every_emits_every_second_accepted_iteration():
+    """log_every=2 logs the energy after every second accepted step: one
+    iter= line per even iteration, each energy the history's entry there."""
+    p = make_params()
+    logs = []
+    res = solve_ldg(tilt_field(p), p, SolveConfig(log_every=2), log=logs.append)
+    accepted = len(res.energy_history) - 1
+    assert accepted >= 4
+    lines = [dict(kv.split("=") for kv in line.split()) for line in logs]
+    assert [int(f["iter"]) for f in lines] == list(range(2, accepted + 1, 2))
+    for f in lines:
+        assert float(f["energy"]) == res.energy_history[int(f["iter"])]
+
+
 def test_bulk_lipschitz_bound_positive():
     assert bulk_lipschitz_bound(make_params()) > 0.0
 

@@ -1,6 +1,7 @@
 """The package surface: every public top-level function and class of
 ldglimit has a caller in the package, the benchmark or the acceptance gate,
-not only in the unit tests."""
+not only in the unit tests; and no module of the package or the tests
+imports a name it never uses."""
 
 import ast
 from pathlib import Path
@@ -13,6 +14,10 @@ CALLERS = SRC + sorted((ROOT / "perfbench").glob("*.py")) + [
 
 # public names kept without a caller, each with its reason
 ALLOWED = {"corrector_b_residual": "ROADMAP item 1"}
+# (module, name) imports kept unused, each with its reason
+UNUSED_IMPORTS_ALLOWED = {
+    ("test_acceptance", "fit_rate"): "the acceptance gate stays fixed",
+}
 
 
 def _references(path: Path) -> set[str]:
@@ -48,3 +53,26 @@ def test_every_public_definition_has_a_caller():
     assert all(
         name in defined and name not in referenced for name in ALLOWED
     )
+
+
+def _unused_imports(path: Path) -> set[str]:
+    """Names a module binds by import and never loads."""
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    loaded = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return imported - loaded
+
+
+def test_no_unused_imports():
+    unused = {
+        (path.stem, name)
+        for path in SRC + sorted((ROOT / "tests").glob("*.py"))
+        for name in _unused_imports(path)
+    }
+    # an allowlist entry that gets used or goes away must be dropped
+    assert unused == set(UNUSED_IMPORTS_ALLOWED)
