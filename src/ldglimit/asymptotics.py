@@ -34,6 +34,13 @@ from .tensor_algebra import I3, matmul_sum, norm, outer, poly_min
 _IN = np.s_[1:-1]
 # largest condition estimate of projection_residual's inversion matrix
 _COND_LIMIT = 1e8
+# interior nodes per slab of projection_residual, rounded down to whole
+# first-axis planes (at least one): a slab's (nodes, 3, 3) temporaries stay
+# near 1 MiB instead of growing with the grid (at 48^3, median of 12 runs:
+# the whole grid in one pass peaked at 159 MiB traced and took 307 ms,
+# slabs of 16384 nodes 25 MiB and 251 ms, 8192 12 MiB and 261 ms, 32768
+# 48 MiB and 270 ms)
+_RESIDUAL_BLOCK = 16384
 
 
 @dataclass
@@ -191,23 +198,53 @@ def projection_residual(
     shifted inversion matrix (beta fixes its top eigendirection; the result
     is beta-independent), and evaluates the stated equation.
 
-    Every matrix inverted here shares Q_L's eigenvectors, so the
-    projection's one eigendecomposition serves them all.
+    Runs over slabs of first-axis planes holding about _RESIDUAL_BLOCK
+    interior nodes, each read with one halo plane on either side.  A node's
+    residual reads only its stencil neighbours, so the result does not
+    depend on the slab size.  Raises DegenerateSpectrum when any node fails
+    the eigen-gap test, else IllConditionedT naming a failing node in
+    interior-node indices.
     """
     s = p.s_plus
     if beta is None:
         beta = s
     if beta == 0.0:
         raise ValueError("beta must be nonzero")
-    h = q_l.grid.h
+    n1, n2, n3 = q_l.grid.dims
+    planes = max(1, _RESIDUAL_BLOCK // (n2 * n3))
+    out = np.empty((n1, n2, n3))
+    for lo in range(0, n1, planes):
+        hi = lo + planes  # the slices stop at the grid's end
+        try:
+            _slab_residual(
+                q_l.values[lo:hi + 2], q_l.grid.h, p, beta, lo, out[lo:hi]
+            )
+        except IllConditionedT:
+            # a degenerate spectrum anywhere outranks it, as in one
+            # whole-grid pass
+            projection_frame(q_l.values[hi + 2:], p)
+            raise
+    return out
 
-    w_l, v = projection_frame(q_l.values, p)
+
+def _slab_residual(
+    values: np.ndarray, h: np.ndarray, p: MaterialParams, beta: float,
+    offset: int, out: np.ndarray,
+) -> None:
+    """projection_residual of the lattice slab values (its first and last
+    planes are halo) into out; offset is the slab's first interior plane.
+
+    Every matrix inverted here shares Q_L's eigenvectors, so the
+    projection's one eigendecomposition serves them all.
+    """
+    s = p.s_plus
+    w_l, v = projection_frame(values, p)
     n = v[..., :, 0]
     q_sharp = uniaxial(n, s)
     # K = Q_sharp^{-1} Q_L with Q_sharp^{-1} = -(3/s) I + (9/2s) n n^T (the
     # spectrum of Q_sharp is 2s/3, -s/3, -s/3); Q_L n = w_0 n makes K the
     # symmetric -(3/s) Q_L + (9 w_0/2s) n n^T
-    k_field = -(3.0 / s) * q_l.values + (9.0 / (2.0 * s)) * (
+    k_field = -(3.0 / s) * values + (9.0 / (2.0 * s)) * (
         w_l[..., 0, None, None] * outer(n, n)
     )
 
@@ -216,7 +253,7 @@ def projection_residual(
     grads_k = gradient_array(k_field, h)
 
     qs_in = q_sharp[_IN, _IN, _IN]
-    q_in = q_l.interior
+    q_in = values[_IN, _IN, _IN]
     k_in = k_field[_IN, _IN, _IN]
 
     # Q_L and the gradients G_a of Q_sharp and K_a of K are symmetric, so
@@ -236,8 +273,9 @@ def projection_residual(
         cond = np.max(abs_lam, axis=-1) / np.min(abs_lam, axis=-1)
     if not np.all(cond <= _COND_LIMIT):  # also catches NaN
         idx = np.unravel_index(int(np.argmax(cond)), cond.shape)
+        node = (offset + int(idx[0]), int(idx[1]), int(idx[2]))
         raise IllConditionedT(
-            f"inversion matrix at interior node {idx} has condition estimate "
+            f"inversion matrix at interior node {node} has condition estimate "
             f"{float(cond[idx]):.3e}"
         )
 
@@ -251,7 +289,7 @@ def projection_residual(
     correction = z + np.swapaxes(z, -1, -2)
 
     rhs = harmonic_rhs_array(qs_in, gsq, s, form="ii") - correction
-    return norm(lap_qs - rhs)
+    out[...] = norm(lap_qs - rhs)
 
 
 def fit_rate(ls, errs) -> RateFit:

@@ -7,6 +7,7 @@ All drivers are deterministic given a seed and write CSV artifacts with
 
 from __future__ import annotations
 
+import errno
 import math
 import os
 from dataclasses import astuple, dataclass, field
@@ -268,9 +269,24 @@ SOLVE_COMMANDS = {
 }
 
 
+def _require_output_dir(path: str) -> None:
+    """Raise OSError unless path is a writable directory or could be made
+    under its nearest existing ancestor, a writable directory.  Creates
+    nothing, so it can run before the solves whose results go there."""
+    probe = os.path.abspath(path)
+    while not os.path.lexists(probe):
+        probe = os.path.dirname(probe)
+    if not os.path.isdir(probe):
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), probe)
+    if not os.access(probe, os.W_OK | os.X_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), probe)
+
+
 def run_solve(cfg: ExperimentConfig, command: str, log=None):
     """One solve from the configured boundary data at one end of the
-    L-ladder; writes the field CSV and returns (result, path)."""
+    L-ladder; writes the field CSV and returns (result, path).  An output
+    directory that cannot be written raises OSError before the solve."""
+    _require_output_dir(cfg.output_dir)
     solver, rung, filename = SOLVE_COMMANDS[command]
     p = MaterialParams(cfg.a2, cfg.b2, cfg.c2, L=cfg.l_ladder[rung])
     init = _boundary_field(cfg, cfg.grid(), p)
@@ -286,7 +302,11 @@ def run_sweep(cfg: ExperimentConfig, log=None, write: bool = True) -> SweepRepor
     """Solve the harmonic limit once, then descend the L-ladder from
     first-order predictions: the first rung starts at Q_* + L_0 a (a the
     closed-form normal corrector), rung k at Q_* + (L_k / L_{k-1}) (Q_{L_{k-1}}
-    - Q_*); report errors, diagnostics and fitted convergence rates."""
+    - Q_*); report errors, diagnostics and fitted convergence rates.  With
+    write, an output directory that cannot be written raises OSError before
+    the first solve."""
+    if write:
+        _require_output_dir(cfg.output_dir)
     grid = cfg.grid()
     mask = interior_margin_mask(grid, cfg.margin)
 

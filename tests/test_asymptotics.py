@@ -1,6 +1,8 @@
 """Expansion diagnostics: X/Y/Z fields, the rewritten-equation remainder,
 corrector split, projection-equation residual, and rate fitting."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,7 @@ from ldglimit.geometry import (
     MaterialParams,
     grad_squared,
     harmonic_rhs_array,
+    normal_basis_s0,
     normal_component,
     project_array,
     uniaxial,
@@ -312,6 +315,82 @@ def test_projection_residual_failure_modes(monkeypatch):
     flat = zeros_field(GRID)
     with pytest.raises(DegenerateSpectrum):
         projection_residual(flat, p)
+
+
+# non-cubic, so a slab mixing up the axes or their lengths shows
+SLAB_GRID = GridSpec(dims=(9, 6, 5), box=((0.0, 4.5), (0.0, 3.0), (0.0, 2.5)))
+
+
+def slab_test_field(p):
+    """A manifold field on SLAB_GRID plus a seeded perturbation that differs
+    at every node."""
+    f = boundary_near_constant(SLAB_GRID, p, 0.3)
+    rng = np.random.default_rng(11)
+    f.values[...] += 1e-2 * p.s_plus * qtensor(rng.normal(size=f.values.shape))
+    return f
+
+
+def test_projection_residual_slabs_are_bit_identical(monkeypatch):
+    """One plane per slab, and two planes per slab with a one-plane last
+    slab, give the bits of a single slab."""
+    p = make_params()
+    f = slab_test_field(p)
+    for beta in (p.s_plus, 2.0 * p.s_plus):
+        monkeypatch.setattr(asymptotics, "_RESIDUAL_BLOCK", 10**9)
+        ref = projection_residual(f, p, beta=beta)
+        for block in (1, 2 * 6 * 5):
+            monkeypatch.setattr(asymptotics, "_RESIDUAL_BLOCK", block)
+            assert np.array_equal(projection_residual(f, p, beta=beta), ref)
+
+
+def test_projection_residual_names_ill_conditioned_node_in_last_slab(monkeypatch):
+    """An inversion matrix over the limit at one node of the last slab is
+    named by the node's whole-grid interior index."""
+    p = make_params()
+    s = p.s_plus
+    f = boundary_near_constant(SLAB_GRID, p, 0.3)
+    # on the manifold T has eigenvalues (beta, -s, -s), condition 1; moving
+    # the lower pair by +-0.3 s raises it to 1.3 / 0.7 at interior (8, 2, 3)
+    n = project_array(f.values[9, 3, 4], p)[1]
+    f.values[9, 3, 4] += 0.3 * s * normal_basis_s0(n)[1]
+    monkeypatch.setattr(asymptotics, "_COND_LIMIT", 1.5)
+    for block in (1, 10**9):
+        monkeypatch.setattr(asymptotics, "_RESIDUAL_BLOCK", block)
+        with pytest.raises(IllConditionedT, match=r"interior node \(8, 2, 3\)"):
+            projection_residual(f, p)
+
+
+def test_projection_residual_degenerate_in_last_slab(monkeypatch):
+    """Zeroed last planes fail the eigen-gap test in the last slab only;
+    DegenerateSpectrum is raised even when an earlier slab is also
+    ill-conditioned, as in one whole-grid pass."""
+    p = make_params()
+    f = slab_test_field(p)
+    f.values[-2:] = 0.0
+    monkeypatch.setattr(asymptotics, "_RESIDUAL_BLOCK", 1)
+    with pytest.raises(DegenerateSpectrum):
+        projection_residual(f, p)
+    monkeypatch.setattr(asymptotics, "_COND_LIMIT", 1.0)
+    with pytest.raises(DegenerateSpectrum):
+        projection_residual(f, p)
+
+
+def test_projection_residual_slab_memory(monkeypatch):
+    """On a long grid, one-plane slabs peak below a third of the traced
+    memory of a single slab."""
+    p = make_params()
+    grid = GridSpec(dims=(24, 8, 8), box=((0.0, 12.0), (0.0, 4.0), (0.0, 4.0)))
+    f = boundary_near_constant(grid, p, 0.3)
+    peaks = []
+    for block in (1, 10**9):
+        monkeypatch.setattr(asymptotics, "_RESIDUAL_BLOCK", block)
+        tracemalloc.start()
+        try:
+            projection_residual(f, p)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < peaks[1] / 3
 
 
 def test_fit_rate_exact_power_laws():

@@ -197,9 +197,17 @@ def test_cli_rejects_bad_arguments(tmp_path, capsys, monkeypatch, args):
 
 @pytest.mark.parametrize("command", ["sweep", "solve-ldg"])
 @pytest.mark.parametrize("under_file", [False, True])
-def test_cli_reports_unwritable_out(tmp_path, capsys, command, under_file):
+def test_cli_reports_unwritable_out(tmp_path, capsys, monkeypatch, command,
+                                    under_file):
     """An --out that is an existing file, or a path under one, is a bad
-    argument: one error line and exit 2, not a traceback."""
+    argument: one error line and exit 2 before any solve, not a traceback."""
+    import ldglimit.runner as runner
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before checking --out")
+
+    monkeypatch.setattr(runner, "solve_harmonic", no_solve)
+    monkeypatch.setattr(runner, "solve_ldg", no_solve)
     cfg_path = tmp_path / "run.cfg"
     tiny_config(l_ladder=(0.1,)).save(cfg_path)
     blocker = tmp_path / "blocker"
