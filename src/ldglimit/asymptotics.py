@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateFit, GridMismatch, IllConditionedT, NotOnManifold
+from .errors import DegenerateFit, GridMismatch, IllConditionedT
 from .fields import (
     TensorField,
     edge_grad_squared,
@@ -124,7 +124,7 @@ def corrector_a(q_star: TensorField, p: MaterialParams) -> np.ndarray:
     """Closed-form normal part of the first-order corrector, from the limit
     field alone (finite-difference gradients), at interior nodes."""
     s = p.s_plus
-    require_on_manifold(q_star.values, s, NotOnManifold, "limit field")
+    require_on_manifold(q_star.values, s, "limit field")
     q = q_star.interior
     gsq = grad_squared(gradient_array(q_star.values, q_star.grid.h))
     gn2 = np.trace(gsq, axis1=-2, axis2=-1)[..., None, None]
@@ -201,9 +201,10 @@ def projection_residual(
     Runs over slabs of first-axis planes holding about _RESIDUAL_BLOCK
     interior nodes, each read with one halo plane on either side.  A node's
     residual reads only its stencil neighbours, so the result does not
-    depend on the slab size.  Raises DegenerateSpectrum when any node fails
-    the eigen-gap test, else IllConditionedT naming a failing node in
-    interior-node indices.
+    depend on the slab size.  The first slab holding a failing node raises:
+    DegenerateSpectrum when a node of it (halo included) fails the eigen-gap
+    test, else IllConditionedT naming a failing node in interior-node
+    indices.
     """
     s = p.s_plus
     if beta is None:
@@ -215,15 +216,9 @@ def projection_residual(
     out = np.empty((n1, n2, n3))
     for lo in range(0, n1, planes):
         hi = lo + planes  # the slices stop at the grid's end
-        try:
-            _slab_residual(
-                q_l.values[lo:hi + 2], q_l.grid.h, p, beta, lo, out[lo:hi]
-            )
-        except IllConditionedT:
-            # a degenerate spectrum anywhere outranks it, as in one
-            # whole-grid pass
-            projection_frame(q_l.values[hi + 2:], p)
-            raise
+        _slab_residual(
+            q_l.values[lo:hi + 2], q_l.grid.h, p, beta, lo, out[lo:hi]
+        )
     return out
 
 

@@ -81,13 +81,13 @@ def main(argv=None) -> int:
             cfg = load_config(args.config)
         else:
             cfg = ExperimentConfig()
+        if args.out:
+            cfg = dataclasses.replace(cfg, output_dir=args.out)
+        if args.seed is not None:
+            cfg = dataclasses.replace(cfg, seed=args.seed)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.out:
-        cfg = dataclasses.replace(cfg, output_dir=args.out)
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
 
     try:
         return _dispatch(args, cfg)

@@ -57,6 +57,8 @@ class ExperimentConfig(SolveConfig):
             raise ValueError(f"unknown boundary pattern {self.pattern!r}")
         if self.eps < 0:
             raise ValueError("eps must be nonnegative")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         h = (self.box_hi - self.box_lo) / (min(self.dims) + 1)
         if self.margin and self.margin < 2.0 * h:
             raise ValueError("margin must be 0 or at least two node spacings")

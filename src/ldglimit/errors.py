@@ -21,10 +21,6 @@ class CenterOnBoundary(LdglimitError):
     """A lattice node coincides with the radial-profile center."""
 
 
-class NonManifoldBoundary(LdglimitError):
-    """Boundary data is not uniaxial with the preferred order parameter."""
-
-
 class StiffnessFailure(LdglimitError):
     """Monotone line search drove the time step below the underflow floor."""
 

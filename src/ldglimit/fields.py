@@ -305,7 +305,6 @@ def norms(f: TensorField, g: TensorField, margin: float = 0.0) -> dict[str, floa
 
 
 CSV_HEADER = "x,y,z,Q11,Q22,Q12,Q13,Q23"
-_CSV_BLOCK_ROWS = 512
 
 
 def save_field_csv(f: TensorField, path) -> None:
@@ -320,18 +319,14 @@ def save_field_csv(f: TensorField, path) -> None:
         box = ",".join(f"{b:.17g}" for pair in f.grid.box for b in pair)
         fh.write(f"# box={box}\n")
         fh.write(CSV_HEADER + "\n")
-        # one format call per block of rows keeps the strings small
+        # one format call per first-axis plane (at 48^3 as fast as 512-row blocks)
         for x, slab in zip(axes[0], f.values):
             v = slab.reshape(-1, 3, 3)
-            sep = f"\n{x},"
-            for lo in range(0, len(v), _CSV_BLOCK_ROWS):
-                rows = slice(lo, lo + _CSV_BLOCK_ROWS)
-                block = np.column_stack([
-                    v[rows, 0, 0], v[rows, 1, 1], v[rows, 0, 1],
-                    v[rows, 0, 2], v[rows, 1, 2],
-                ])
-                row = f"{x}," + sep.join(yz[rows]) + "\n"
-                fh.write(row % tuple(block.ravel().tolist()))
+            block = np.column_stack([
+                v[:, 0, 0], v[:, 1, 1], v[:, 0, 1], v[:, 0, 2], v[:, 1, 2],
+            ])
+            rows = f"{x}," + f"\n{x},".join(yz) + "\n"
+            fh.write(rows % tuple(block.ravel().tolist()))
 
 
 def load_field_csv(path) -> TensorField:

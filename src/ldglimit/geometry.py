@@ -10,11 +10,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSpectrum
+from .errors import DegenerateSpectrum, NotOnManifold
 from .tensor_algebra import (
     I3,
     anticomm,
     comm,
+    complete_frame,
     eigh_descending,
     frobenius,
     matmul_sum,
@@ -55,13 +56,13 @@ def uniaxial(director: np.ndarray, s_plus: float) -> np.ndarray:
     return s_plus * (outer(n, n) - I3 / 3.0)
 
 
-def require_on_manifold(q: np.ndarray, s_plus: float, error, what: str) -> None:
-    """Raise error, an LdglimitError subclass, with a message naming `what`
-    when the minimal-polynomial residual of some tensor of q exceeds
+def require_on_manifold(q: np.ndarray, s_plus: float, what: str) -> None:
+    """Raise NotOnManifold with a message naming `what` when the
+    minimal-polynomial residual of some tensor of q exceeds
     1e-8 max(1, s_+^2) or is not finite."""
     res = float(np.max(norm(poly_min(q, s_plus))))
     if not res <= 1e-8 * max(1.0, s_plus**2):  # a NaN residual fails too
-        raise error(f"{what} leaves the manifold (residual {res:.3e})")
+        raise NotOnManifold(f"{what} leaves the manifold (residual {res:.3e})")
 
 
 def projection_frame(
@@ -87,14 +88,10 @@ def projection_frame(
     return w, v
 
 
-def project_array(q: np.ndarray, p: MaterialParams) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest-point projection of tensors of shape (..., 3, 3).
-
-    Returns (projected tensors, directors).  Raises DegenerateSpectrum as
-    projection_frame does.
-    """
-    n = projection_frame(q, p)[1][..., :, 0]
-    return uniaxial(n, p.s_plus), n
+def project_array(q: np.ndarray, p: MaterialParams) -> np.ndarray:
+    """Nearest-point projection of tensors of shape (..., 3, 3).  Raises
+    DegenerateSpectrum as projection_frame does."""
+    return uniaxial(projection_frame(q, p)[1][..., :, 0], p.s_plus)
 
 
 def normal_component(a: np.ndarray, q: np.ndarray, s_plus: float) -> np.ndarray:
@@ -191,26 +188,16 @@ def check_identities(
 def tangent_basis(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Two Frobenius-orthogonal tangent directions at the manifold point(s)
     with unit director(s) n."""
-    u, v = _orthonormal_complement(n)
+    u, v = (np.stack(c, axis=-1) for c in complete_frame(np.moveaxis(n, -1, 0)))
     return outer(n, u) + outer(u, n), outer(n, v) + outer(v, n)
 
 
 def normal_basis_s0(n: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Three traceless normal directions at the manifold point(s) with unit
     director(s) n, mutually Frobenius-orthogonal."""
-    u, v = _orthonormal_complement(n)
+    u, v = (np.stack(c, axis=-1) for c in complete_frame(np.moveaxis(n, -1, 0)))
     z1 = 2.0 * outer(n, n) - outer(u, u) - outer(v, v)
     z2 = outer(u, u) - outer(v, v)
     z3 = outer(u, v) + outer(v, u)
     return z1, z2, z3
 
-
-def _orthonormal_complement(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Right-handed frame completion of unit vectors of shape (..., 3)."""
-    pick = np.zeros_like(n)
-    idx = np.argmin(np.abs(n), axis=-1)
-    np.put_along_axis(pick, idx[..., None], 1.0, axis=-1)
-    u = np.cross(n, pick)
-    u /= np.linalg.norm(u, axis=-1, keepdims=True)
-    v = np.cross(n, u)
-    return u, v

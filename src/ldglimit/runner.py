@@ -14,6 +14,7 @@ from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
+from . import tensor_algebra
 from .asymptotics import (
     compute_xyz,
     corrector_a,
@@ -50,40 +51,8 @@ from .solvers import SolveResult, solve_harmonic, solve_ldg
 from .tensor_algebra import I3, comm, norm, outer, poly_min
 
 
-# trials per block of the identity suite: a block's (block, 3, 3)
-# temporaries stay cache-sized instead of streaming through memory (at 1e5
-# trials one pass took 1.25x as long as blocks of 4096-16384)
-_SUITE_BLOCK = 8192
-
-
-def geometry_identity_suite(seed: int = 0, trials: int = 10000) -> dict[str, float]:
-    """Max residuals of the manifold-geometry identities over random trials,
-    at unit material constants.
-
-    All random inputs are drawn first, so the results do not depend on
-    the block size (_SUITE_BLOCK) the checks run in.
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    p = MaterialParams(a2=1.0, b2=1.0, c2=1.0)
-    rng = np.random.default_rng(seed)
-
-    n = rng.normal(size=(trials, 3))
-    n /= np.linalg.norm(n, axis=-1, keepdims=True)
-    cx = rng.normal(size=(trials, 2, 1, 1))
-    cy = rng.normal(size=(trials, 2, 1, 1))
-    cz = rng.normal(size=(trials, 3, 1, 1))
-
-    blocks = []
-    for lo in range(0, trials, _SUITE_BLOCK):
-        b = slice(lo, lo + _SUITE_BLOCK)
-        blocks.append(_identity_residuals(n[b], cx[b], cy[b], cz[b], p))
-    # np.max, unlike max(), keeps a NaN residual
-    return {name: float(np.max([r[name] for r in blocks])) for name in blocks[0]}
-
-
 def _identity_residuals(n, cx, cy, cz, p: MaterialParams):
-    """geometry_identity_suite's max residuals over one block of trials:
+    """The identity suite's max residuals over one block of trials:
     unit directors n and the tangent and normal coefficients cx, cy, cz."""
     s = p.s_plus
     q = uniaxial(n, s)
@@ -97,8 +66,8 @@ def _identity_residuals(n, cx, cy, cz, p: MaterialParams):
     out["manifold_membership"] = float(np.max(norm(poly_min(q, s))))
 
     # projection: recovers exact points, and is idempotent on perturbations
-    proj, _ = project_array(q + 0.05 * s * (z / norm(z)[..., None, None]), p)
-    proj2, _ = project_array(proj, p)
+    proj = project_array(q + 0.05 * s * (z / norm(z)[..., None, None]), p)
+    proj2 = project_array(proj, p)
     out["projection_idempotent"] = float(np.max(norm(proj2 - proj)))
 
     # tangency / normality characterizations
@@ -120,8 +89,8 @@ def _identity_residuals(n, cx, cy, cz, p: MaterialParams):
     # curve t -> project(q + t x)
     t = 1e-3
     xhat = x / norm(x)[..., None, None]
-    qp, _ = project_array(q + t * xhat, p)
-    qm, _ = project_array(q - t * xhat, p)
+    qp = project_array(q + t * xhat, p)
+    qm = project_array(q - t * xhat, p)
     ii_fd = (qp - 2.0 * q + qm) / t**2
     ii_xx = second_fundamental_form(xhat, xhat, q, s)
     out["curvature_fd"] = float(np.max(norm(ii_xx - ii_fd)))
@@ -144,9 +113,30 @@ CHECK_TOLERANCES = {"curvature_fd": 1e-4}
 def run_check_geometry(
     seed: int = 0, trials: int = 10000, tol: float = 1e-10
 ) -> tuple[bool, dict[str, float]]:
-    """Run the identity suite and compare every residual against tol
-    (per-check overrides in CHECK_TOLERANCES)."""
-    results = geometry_identity_suite(seed=seed, trials=trials)
+    """Max residuals of the manifold-geometry identities over random trials,
+    at unit material constants, each compared against tol (per-check
+    overrides in CHECK_TOLERANCES).
+
+    All random inputs are drawn first, so the results do not depend on
+    the block size (tensor_algebra.CACHE_BLOCK) the checks run in.
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    p = MaterialParams(a2=1.0, b2=1.0, c2=1.0)
+    rng = np.random.default_rng(seed)
+
+    n = rng.normal(size=(trials, 3))
+    n /= np.linalg.norm(n, axis=-1, keepdims=True)
+    cx = rng.normal(size=(trials, 2, 1, 1))
+    cy = rng.normal(size=(trials, 2, 1, 1))
+    cz = rng.normal(size=(trials, 3, 1, 1))
+
+    blocks = []
+    for lo in range(0, trials, tensor_algebra.CACHE_BLOCK):
+        b = slice(lo, lo + tensor_algebra.CACHE_BLOCK)
+        blocks.append(_identity_residuals(n[b], cx[b], cy[b], cz[b], p))
+    # np.max, unlike max(), keeps a NaN residual
+    results = {name: float(np.max([r[name] for r in blocks])) for name in blocks[0]}
     ok = all(
         v <= CHECK_TOLERANCES.get(name, tol) for name, v in results.items()
     )

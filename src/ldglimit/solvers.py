@@ -19,8 +19,6 @@ from .bulk import grad_f_bulk, grad_f_bulk_s0
 from .errors import (
     DegenerateSpectrum,
     LdglimitError,
-    NonManifoldBoundary,
-    NotOnManifold,
     StiffnessFailure,
 )
 from .fields import (
@@ -66,6 +64,8 @@ class SolveConfig:
             raise ValueError("max_iters and residual_tol must be positive")
         if not 0.0 < self.rel_energy_tol < 1.0:
             raise ValueError("rel_energy_tol must lie in (0, 1)")
+        if self.log_every < 0:
+            raise ValueError("log_every must be nonnegative")
 
 
 @dataclass
@@ -272,7 +272,7 @@ def solve_ldg(
     el_residual is the residual of that field.
     """
     require_on_manifold(init.values[init.boundary_mask()], p.s_plus,
-                        NonManifoldBoundary, "boundary data")
+                        "boundary data")
     h = init.grid.h
     dt0 = cfg.dt_safety * min(
         float(np.min(h)) ** 2 / 6.0, p.L / bulk_lipschitz_bound(p)
@@ -319,7 +319,7 @@ def solve_harmonic(
     discrete harmonic map.
     """
     s = p.s_plus
-    require_on_manifold(init.values, s, NotOnManifold, "initial field")
+    require_on_manifold(init.values, s, "initial field")
     h = init.grid.h
     pad = ((1, 1),) * 3 + ((0, 0),) * 2
 
@@ -341,7 +341,7 @@ def solve_harmonic(
         init, cfg, cfg.dt_safety,
         objective=dirichlet_energy,
         direction=direction,
-        retract=lambda m: project_array(m, p)[0],
+        retract=lambda m: project_array(m, p),
         step=bb_long,
         failure="time step underflow in projected flow",
         log=log,

@@ -141,10 +141,29 @@ def poly_min(q: np.ndarray, s_plus: float) -> np.ndarray:
     return q @ q - (s_plus / 3.0) * q - (2.0 / 9.0) * s_plus**2 * I3
 
 
-# matrices per pass of eigh_descending: the temporaries of one block are
-# 64 KB each, so the few dozen alive at a time fit a 2 MiB L2 cache (at 1e5
-# matrices one pass took 1.3x as long as blocks of 4096-16384)
-_EIGH_BLOCK = 8192
+# matrices per pass of eigh_descending and of the identity suite's checks:
+# the temporaries of one block are 64 KB each, so the few dozen alive at a
+# time fit a 2 MiB L2 cache (at 1e5 matrices one pass took 1.3x as long as
+# blocks of 4096-16384, the suite 1.25x)
+CACHE_BLOCK = 8192
+
+
+def complete_frame(e) -> tuple[tuple, tuple]:
+    """Right-handed orthonormal completion (u, v), v = e x u, of unit
+    vectors given by their components e = (ex, ey, ez); u and v are
+    returned as component triples too.  u is e_z x e where |ex| > |ez|,
+    else e_x x e, so |u| >= 1/sqrt(2) before scaling."""
+    ex, ey, ez = e
+    big_x = np.abs(ex) > np.abs(ez)
+    ux = np.where(big_x, -ey, 0.0)
+    uy = np.where(big_x, ex, -ez)
+    uz = np.where(big_x, 0.0, ey)
+    inv_u = 1.0 / np.sqrt(ux * ux + uy * uy + uz * uz)
+    ux *= inv_u
+    uy *= inv_u
+    uz *= inv_u
+    v = (ey * uz - ez * uy, ez * ux - ex * uz, ex * uy - ey * ux)
+    return (ux, uy, uz), v
 
 
 def eigh_descending(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -165,7 +184,7 @@ def eigh_descending(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     - one 2x2 Jacobi rotation diagonalizes B on the orthogonal complement
       and gives the other two eigenpairs.
 
-    The closed form runs over blocks of _EIGH_BLOCK matrices.  It is
+    The closed form runs over blocks of CACHE_BLOCK matrices.  It is
     elementwise, so the result does not depend on the block size.
     """
     a = np.asarray(q, dtype=float)
@@ -173,8 +192,8 @@ def eigh_descending(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     flat = a.reshape(-1, 9)
     w = np.empty((len(flat), 3))
     v = np.empty((len(flat), 3, 3))
-    for lo in range(0, len(flat), _EIGH_BLOCK):
-        hi = lo + _EIGH_BLOCK
+    for lo in range(0, len(flat), CACHE_BLOCK):
+        hi = lo + CACHE_BLOCK
         _eigh_block(flat[lo:hi], w[lo:hi], v[lo:hi])
     return w.reshape(batch + (3,)), v.reshape(batch + (3, 3))
 
@@ -223,18 +242,7 @@ def _eigh_block(flat: np.ndarray, w: np.ndarray, v: np.ndarray) -> None:
     ey = np.where(k0, c01, np.where(k1, c11, c12)) * inv_n
     ez = np.where(k0, c02, np.where(k1, c12, c22)) * inv_n
 
-    # orthonormal complement (u, v) of e; |u| >= 1/sqrt(2) before scaling
-    big_x = np.abs(ex) > np.abs(ez)
-    ux = np.where(big_x, -ey, 0.0)
-    uy = np.where(big_x, ex, -ez)
-    uz = np.where(big_x, 0.0, ey)
-    inv_u = 1.0 / np.sqrt(ux * ux + uy * uy + uz * uz)
-    ux *= inv_u
-    uy *= inv_u
-    uz *= inv_u
-    vx = ey * uz - ez * uy
-    vy = ez * ux - ex * uz
-    vz = ex * uy - ey * ux
+    (ux, uy, uz), (vx, vy, vz) = complete_frame((ex, ey, ez))
 
     # B on span(u, v) and the Jacobi rotation that diagonalizes it
     bu0 = b0 * ux + b01 * uy + b02 * uz

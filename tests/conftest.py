@@ -33,6 +33,21 @@ def sweep_report():
     return rep
 
 
+def tiny_config(**overrides):
+    """A 6^3 config with a three-rung ladder, for fast end-to-end runs."""
+    base = dict(
+        dims=(6, 6, 6),
+        box_lo=0.0,
+        box_hi=3.0,
+        l_ladder=(0.1, 0.05, 0.025),
+        eps=0.2,
+        margin=0.0,
+        max_iters=4000,
+    )
+    base.update(overrides)
+    return ExperimentConfig(**base)
+
+
 def zeros_field(grid: GridSpec) -> TensorField:
     return TensorField(grid, np.zeros(grid.shape + (3, 3)))
 

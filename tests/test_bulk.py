@@ -112,7 +112,7 @@ def test_f_bulk_shifted_comparable_to_squared_distance(rng, unit_params):
     q = uniaxial(random_directors(rng, 2000), s) + (radius / norm(pert))[
         :, None, None
     ] * pert
-    proj, _ = project_array(q, p)
+    proj = project_array(q, p)
     dist = norm(q - proj)
     # the perturbation bounds the distance from above, and its normal part
     # keeps it well away from zero

@@ -14,19 +14,7 @@ from ldglimit.cli import main
 from ldglimit.config import ExperimentConfig, load_config, parse_config
 from ldglimit.solvers import SolveConfig
 
-
-def tiny_config(**overrides):
-    base = dict(
-        dims=(6, 6, 6),
-        box_lo=0.0,
-        box_hi=3.0,
-        l_ladder=(0.1, 0.05, 0.025),
-        eps=0.2,
-        margin=0.0,
-        max_iters=4000,
-    )
-    base.update(overrides)
-    return ExperimentConfig(**base)
+from conftest import tiny_config
 
 
 def test_serialize_parse_round_trip():
@@ -99,6 +87,7 @@ def test_parse_rejects_bad_lines(text):
         dict(box_hi=-1.0),
         dict(boundary="twisted"),
         dict(eps=-0.1),
+        dict(seed=-1),
         dict(margin=-1.0),
         dict(margin=10.0),                  # >= half box width (default box 8)
         dict(margin=0.1),                   # positive but below 2h
@@ -147,6 +136,10 @@ def test_cli_threads_validation(capsys):
         "dims=4,4,4\nmargin=3.9",
         # a boundary pattern fields.boundary_near_constant does not draw
         "pattern=tilt_y",
+        # np.random.default_rng refuses a negative seed with a traceback
+        "seed=-2",
+        # only N > 0 (log every N-th step) and 0 (off) mean something
+        "log_every=-3",
     ],
 )
 def test_cli_rejects_bad_config(tmp_path, capsys, line):
@@ -171,6 +164,7 @@ def test_cli_rejects_bad_config(tmp_path, capsys, line):
         ["check-geometry", "--tol", "-0.5"],
         ["check-geometry", "--tol", "nan"],
         ["check-geometry", "--tol", "inf"],
+        ["check-geometry", "--seed", "-1"],
         ["corrector", "--center-exclusion", "-1"],
         ["corrector", "--center-exclusion", "nan"],
         # no interior node of the [-1,1]^3 box lies this far from its center
@@ -293,20 +287,20 @@ def test_every_export_resolves():
         assert getattr(ldglimit, name) is not None, name
 
 
-def _benchmark_workloads(monkeypatch):
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
+def _perfbench_module(monkeypatch, name):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
     # dataclasses looks the defining module up while building its classes
-    monkeypatch.setitem(sys.modules, spec.name, workloads)
-    spec.loader.exec_module(workloads)
-    return workloads
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_benchmark_traced_names_resolve(monkeypatch):
     """Every module.function the benchmark traces exists in the package, so
     renaming or deleting one shows here and not only in a traced run."""
-    workloads = _benchmark_workloads(monkeypatch)
+    workloads = _perfbench_module(monkeypatch, "workloads")
     assert workloads.TRACED
     for name in workloads.TRACED:
         module, function = name.split(".")
@@ -323,7 +317,7 @@ def test_benchmark_ldg_kernels_called_and_energy_evaluations_counted(
     every ldglimit module that binds it, as the benchmark's tracer does."""
     import ldglimit.runner as runner
 
-    workloads = _benchmark_workloads(monkeypatch)
+    workloads = _perfbench_module(monkeypatch, "workloads")
     calls = dict.fromkeys(workloads._LDG_KERNELS, 0)
     solves = []  # (dirichlet_energy calls inside, result) per solve_ldg
     modules = [m for key, m in list(sys.modules.items())
@@ -353,3 +347,23 @@ def test_benchmark_ldg_kernels_called_and_energy_evaluations_counted(
     accepted = len(res.energy_history) - 1
     assert accepted >= 1 and res.backtracks >= 1
     assert evals == 1 + accepted + res.backtracks
+
+
+def test_benchmark_sweep_functions_called(monkeypatch, tmp_path):
+    """The traced sweep_default workload fails unless every function of its
+    expected list is called.  A tiny writing sweep calls them all, counted
+    by the benchmark's own tracer."""
+    import ldglimit.runner as runner
+
+    workloads = _perfbench_module(monkeypatch, "workloads")
+    tracer_module = _perfbench_module(monkeypatch, "tracer")
+    expected = workloads.FULL["sweep_default"].expected
+    tracer = tracer_module.Tracer()
+    tracer.install("ldglimit", expected)
+    try:
+        runner.run_sweep(tiny_config(output_dir=str(tmp_path)), log=[].append)
+    finally:
+        tracer.uninstall()
+    assert tracer.missing == []
+    stats = tracer_module.aggregate(tracer.dump())
+    assert [name for name in expected if stats[name]["calls"] == 0] == []

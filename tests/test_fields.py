@@ -1,6 +1,8 @@
 """Grid fields: stencil calculus, discrete energies, boundary-data
 generators, norms, and CSV round-trips."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -256,9 +258,9 @@ def test_csv_round_trip(tmp_path, rng):
 
 
 def test_csv_bytes_match_per_value_format(tmp_path, rng):
-    """The block writer prints every value exactly as f"{x:.17g}" does,
-    including signed zeros, subnormals and large exponents, across more
-    rows than one block."""
+    """The writer prints every value exactly as f"{x:.17g}" does,
+    including signed zeros, subnormals and large exponents, across many
+    planes of many rows."""
     grid = small_grid(dims=(18, 17, 16))
     values = rng.normal(size=grid.shape + (3, 3))
     flat = values.reshape(-1, 3, 3)
@@ -280,3 +282,17 @@ def test_csv_bytes_match_per_value_format(tmp_path, rng):
     assert path.read_bytes() == expected
     assert b",-0," in expected and b"4.9406564584124654e-324" in expected
     assert b"1e+300" in expected
+
+
+def test_csv_golden_bytes(tmp_path):
+    """The file bytes of a non-cubic field whose first-axis planes hold 704
+    rows each.  Coordinates and values are small integers over powers of
+    two, so the digest pins the writer's format alone; it was taken from
+    the writer that formatted blocks of 512 rows."""
+    grid = GridSpec(dims=(3, 30, 20), box=((0.0, 1.0), (-2.0, 1.875), (0.5, 5.75)))
+    k = np.arange(np.prod(grid.shape) * 9).reshape(grid.shape + (3, 3))
+    path = tmp_path / "field.csv"
+    save_field_csv(TensorField(grid, ((7 * k) % 23 - 11) / 64.0), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "cdcc2b0700cb3a8fb1b2809b579bc212e3b5523f1cb0932e745ec370e315eb04"
+    )

@@ -5,15 +5,13 @@ determinism."""
 import numpy as np
 import pytest
 
-from ldglimit import geometry, runner
-from ldglimit.config import ExperimentConfig
+from ldglimit import geometry, runner, tensor_algebra
 from ldglimit.geometry import MaterialParams, grad_squared, harmonic_rhs_array
 from ldglimit.fields import GridSpec, gradient_array, laplacian_array
 from ldglimit.runner import (
     CHECK_TOLERANCES,
     RATE_QUANTITIES,
     SWEEP_COLUMNS,
-    geometry_identity_suite,
     hedgehog_corrector_exact,
     run_check_geometry,
     run_corrector,
@@ -21,19 +19,7 @@ from ldglimit.runner import (
 )
 from ldglimit.tensor_algebra import I3, norm
 
-
-def tiny_config(**overrides):
-    base = dict(
-        dims=(6, 6, 6),
-        box_lo=0.0,
-        box_hi=3.0,
-        l_ladder=(0.1, 0.05, 0.025),
-        eps=0.2,
-        margin=0.0,
-        max_iters=4000,
-    )
-    base.update(overrides)
-    return ExperimentConfig(**base)
+from conftest import tiny_config
 
 
 def test_geometry_suite_passes():
@@ -47,24 +33,24 @@ def test_geometry_suite_passes():
 
 
 def test_geometry_suite_is_deterministic(monkeypatch):
-    a = geometry_identity_suite(seed=3, trials=500)
-    b = geometry_identity_suite(seed=3, trials=500)
+    a = run_check_geometry(seed=3, trials=500)[1]
+    b = run_check_geometry(seed=3, trials=500)[1]
     assert a == b
     # the block size the checks run in does not change a bit of the result
-    monkeypatch.setattr(runner, "_SUITE_BLOCK", 7)
-    assert geometry_identity_suite(seed=3, trials=500) == a
+    monkeypatch.setattr(tensor_algebra, "CACHE_BLOCK", 7)
+    assert run_check_geometry(seed=3, trials=500)[1] == a
 
 
 def test_geometry_suite_mutation_fails(monkeypatch):
     """Scaling the base points off the manifold must blow up the residuals;
     the suite is capable of failing."""
-    good = geometry_identity_suite(seed=0, trials=500)
+    good = run_check_geometry(seed=0, trials=500)[1]
     assert max(good.values()) < 1e-3
     with monkeypatch.context() as m:
         m.setattr(
             runner, "uniaxial", lambda n, s: geometry.uniaxial(n, 1.05 * s)
         )
-        bad = geometry_identity_suite(seed=0, trials=500)
+        bad = run_check_geometry(seed=0, trials=500)[1]
     assert max(bad.values()) > 1e-3
     ok, _ = run_check_geometry(seed=0, trials=500, tol=1e-30)
     assert not ok

@@ -8,7 +8,6 @@ import ldglimit.solvers as solvers
 from ldglimit.errors import (
     DegenerateSpectrum,
     LdglimitError,
-    NonManifoldBoundary,
     NotOnManifold,
     StiffnessFailure,
 )
@@ -72,6 +71,8 @@ def test_solve_config_validation():
         SolveConfig(residual_tol=0.0)
     with pytest.raises(ValueError):
         SolveConfig(rel_energy_tol=0.0)
+    with pytest.raises(ValueError, match="log_every"):
+        SolveConfig(log_every=-3)
     with pytest.raises(ValueError):
         SolveConfig(rel_energy_tol=1.0)
 
@@ -113,7 +114,7 @@ def test_solve_ldg_rejects_off_manifold_boundary():
     p = make_params()
     f = zeros_field(GRID)
     f.values[...] = qtensor(np.diag([0.4, 0.1, -0.5]))
-    with pytest.raises(NonManifoldBoundary):
+    with pytest.raises(NotOnManifold, match="boundary data"):
         solve_ldg(f, p, SolveConfig())
 
 
@@ -244,7 +245,7 @@ def test_degenerate_retraction_is_a_rejected_step(monkeypatch, harmonic_run):
         if len(calls) == 1:
             raise DegenerateSpectrum("injected")
         if len(calls) <= 3:
-            return init.interior.copy(), None
+            return init.interior.copy()
         return real_project(values, params)
 
     monkeypatch.setattr(solvers, "project_array", project_degenerate_then_still)
@@ -446,13 +447,13 @@ def test_stiffness_failure_paths(monkeypatch):
     from ldglimit.geometry import project_array as real_project
 
     def bad_project(values, params):
-        q, n = real_project(values, params)
+        q = real_project(values, params)
         flip = uniaxial(np.array([1.0, 0.0, 0.0]), params.s_plus)
         return np.where(
             np.arange(q.shape[0])[:, None, None, None, None] % 2 == 0,
             flip,
             q,
-        ), n
+        )
 
     monkeypatch.setattr(solvers, "project_array", bad_project)
     with pytest.raises(StiffnessFailure):

@@ -157,7 +157,7 @@ def test_eigh_descending_batched(rng):
     assert np.array_equal(w_nc, eigh_descending(q[::2])[0])
     # a batch one block and five matrices long gives, bit for bit, what
     # its two pieces give on their own
-    b = tensor_algebra._EIGH_BLOCK
+    b = tensor_algebra.CACHE_BLOCK
     w, v = eigh_descending(q[:b + 5])
     pieces = [eigh_descending(q[:b]), eigh_descending(q[b:b + 5])]
     assert np.array_equal(w, np.concatenate([pieces[0][0], pieces[1][0]]))
