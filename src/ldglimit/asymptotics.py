@@ -19,6 +19,7 @@ from .fields import (
     edge_grad_squared,
     gradient_array,
     laplacian_array,
+    require_same_grid,
 )
 from .geometry import (
     MaterialParams,
@@ -138,8 +139,7 @@ def empirical_corrector(
 ) -> CorrectorFields:
     """Split the empirical (Q_L - Q_*)/L into normal and tangential parts at
     the limit field, nodewise."""
-    if q_l.grid != q_star.grid:
-        raise GridMismatch("fields live on different grids")
+    require_same_grid(q_l, q_star)
     qdot = (q_l.interior - q_star.interior) / p.L
     normal = normal_component(qdot, q_star.interior, p.s_plus)
     return CorrectorFields(a_field=normal, b_field=qdot - normal, qdot_field=qdot)

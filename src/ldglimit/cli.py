@@ -130,7 +130,7 @@ def _dispatch(args, cfg) -> int:
               f"({args.trials} trials, tol {args.tol:g})")
         return 0 if ok else 1
 
-    if args.command in runner.SOLVE_COMMANDS:
+    if args.command in ("solve-harmonic", "solve-ldg"):
         res, path = runner.run_solve(cfg, args.command, log=log)
         print(f"converged={res.converged} iterations={res.iterations} "
               f"energy={res.final_energy:.17g} residual={res.el_residual:.6e}")

@@ -31,19 +31,19 @@ class ExperimentConfig(SolveConfig):
     seed: int = 0
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self) -> None:
-        """Reject non-finite numbers, build the material parameters of every
-        ladder L and the grid with its margin mask, which check their own
-        fields, check the solver settings, then check what no type owns."""
+        """Store l_ladder and dims as tuples, reject non-finite numbers,
+        build the material parameters of every ladder L and the grid with
+        its margin mask, which check their own fields, check the solver
+        settings, then check what no type owns."""
+        object.__setattr__(self, "l_ladder", tuple(map(float, self.l_ladder)))
+        object.__setattr__(self, "dims", tuple(self.dims))
         for f in fields(self):
             value = getattr(self, f.name)
             for x in value if isinstance(value, tuple) else (value,):
                 if isinstance(x, float) and not math.isfinite(x):
                     raise ValueError(f"{f.name} must be finite")
-        ladder = tuple(float(v) for v in self.l_ladder)
-        if len(ladder) == 0:
+        ladder = self.l_ladder
+        if not ladder:
             raise ValueError("l_ladder must be nonempty")
         for L in ladder:
             MaterialParams(self.a2, self.b2, self.c2, L=L)
@@ -66,7 +66,7 @@ class ExperimentConfig(SolveConfig):
     def grid(self) -> GridSpec:
         """The cubic box [box_lo, box_hi]^3 with dims interior nodes."""
         box = ((self.box_lo, self.box_hi),) * 3
-        return GridSpec(dims=tuple(self.dims), box=box)
+        return GridSpec(dims=self.dims, box=box)
 
     def serialize(self) -> str:
         """One key=value pair per line, in field order."""

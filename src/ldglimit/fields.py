@@ -92,7 +92,8 @@ class TensorField:
         return mask
 
 
-def _require_same_grid(f: TensorField, g: TensorField) -> None:
+def require_same_grid(f: TensorField, g: TensorField) -> None:
+    """Raise GridMismatch unless the two fields share one grid."""
     if f.grid != g.grid:
         raise GridMismatch("fields live on different grids")
 
@@ -292,7 +293,7 @@ def interior_margin_mask(grid: GridSpec, margin: float) -> np.ndarray:
 
 def norms(f: TensorField, g: TensorField, margin: float = 0.0) -> dict[str, float]:
     """L2, H1-seminorm and interior sup distance between two fields."""
-    _require_same_grid(f, g)
+    require_same_grid(f, g)
     diff = f.values - g.values
     vol = f.grid.cell_volume()
     d_int = diff[_IN, _IN, _IN]

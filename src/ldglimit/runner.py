@@ -240,23 +240,18 @@ class SweepReport:
     q_star_result: SolveResult
     rows: list = field(default_factory=list)
     fits: dict = field(default_factory=dict)
-    fields_by_l: dict = field(default_factory=dict)
     results_by_l: dict = field(default_factory=dict)
+
+    @property
+    def fields_by_l(self) -> dict:
+        """Each ladder L's solved field, in ladder order."""
+        return {L: res.field for L, res in self.results_by_l.items()}
 
 
 def _boundary_field(cfg: ExperimentConfig, grid: GridSpec, p: MaterialParams):
     if cfg.boundary == "hedgehog":
         return boundary_hedgehog(grid, p)
     return boundary_near_constant(grid, p, cfg.eps, pattern=cfg.pattern)
-
-
-# command -> (solver, index into the L-ladder, output file).  The solver is
-# held by name and looked up in this module's namespace when the command
-# runs, so a replacement bound there (a wrapper, a test double) is called.
-SOLVE_COMMANDS = {
-    "solve-harmonic": ("solve_harmonic", 0, "q_star.csv"),
-    "solve-ldg": ("solve_ldg", -1, "q_l.csv"),
-}
 
 
 def _require_output_dir(path: str) -> None:
@@ -277,11 +272,13 @@ def run_solve(cfg: ExperimentConfig, command: str, log=None):
     L-ladder; writes the field CSV and returns (result, path).  An output
     directory that cannot be written raises OSError before the solve."""
     _require_output_dir(cfg.output_dir)
-    solver, rung, filename = SOLVE_COMMANDS[command]
-    p = MaterialParams(cfg.a2, cfg.b2, cfg.c2, L=cfg.l_ladder[rung])
-    init = _boundary_field(cfg, cfg.grid(), p)
-    solve = globals()[solver]
-    res = solve(init, p, cfg, log=log)
+    # read at call time, so a wrapper or test double bound here is what runs
+    if command == "solve-harmonic":
+        solve, L, filename = solve_harmonic, cfg.l_ladder[0], "q_star.csv"
+    else:
+        solve, L, filename = solve_ldg, cfg.l_ladder[-1], "q_l.csv"
+    p = MaterialParams(cfg.a2, cfg.b2, cfg.c2, L=L)
+    res = solve(_boundary_field(cfg, cfg.grid(), p), p, cfg, log=log)
     os.makedirs(cfg.output_dir, exist_ok=True)
     path = os.path.join(cfg.output_dir, filename)
     save_field_csv(res.field, path)
@@ -336,7 +333,6 @@ def run_sweep(cfg: ExperimentConfig, log=None, write: bool = True) -> SweepRepor
             "a_err_interior": float(np.max(norm(corr.a_field - a_fd)[mask])),
         }
         report.rows.append(row)
-        report.fields_by_l[L] = res.field
         report.results_by_l[L] = res
         if log is not None:
             log(" ".join(f"{k}={format_value(v)}" for k, v in row.items()))
@@ -385,5 +381,5 @@ def write_sweep_artifacts(report: SweepReport) -> None:
             values = (math.nan,) * 3 if fit is None else astuple(fit)
             fh.write(",".join([name, *map(format_value, values)]) + "\n")
     save_field_csv(report.q_star_result.field, os.path.join(out, "q_star.csv"))
-    for i, (L, f) in enumerate(report.fields_by_l.items()):
-        save_field_csv(f, os.path.join(out, f"q_l_{i}.csv"))
+    for i, res in enumerate(report.results_by_l.values()):
+        save_field_csv(res.field, os.path.join(out, f"q_l_{i}.csv"))

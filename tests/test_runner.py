@@ -7,7 +7,13 @@ import pytest
 
 from ldglimit import geometry, runner, tensor_algebra
 from ldglimit.geometry import MaterialParams, grad_squared, harmonic_rhs_array
-from ldglimit.fields import GridSpec, gradient_array, laplacian_array
+from ldglimit.fields import (
+    GridSpec,
+    gradient_array,
+    laplacian_array,
+    load_field_csv,
+    save_field_csv,
+)
 from ldglimit.runner import (
     CHECK_TOLERANCES,
     RATE_QUANTITIES,
@@ -106,6 +112,35 @@ def test_run_sweep_rows_fits_and_artifacts(tmp_path):
         assert np.all(np.diff(res.energy_history) <= 0.0)
     for name in ("sweep.csv", "rates.csv", "q_star.csv"):
         assert (tmp_path / "out" / name).exists()
+    # one field per rung, in ladder order, read from the rung's result
+    assert list(report.fields_by_l) == list(cfg.l_ladder)
+    for i, (L, f) in enumerate(report.fields_by_l.items()):
+        assert f is report.results_by_l[L].field
+        written = load_field_csv(tmp_path / "out" / f"q_l_{i}.csv")
+        assert written.grid == f.grid
+        assert np.max(np.abs(written.values - f.values)) < 1e-14
+
+
+def test_run_solve_harmonic_calls_the_module_solver_once(tmp_path, monkeypatch):
+    """solve-harmonic runs whatever runner.solve_harmonic is bound to when it
+    is called, once, at the first ladder L, and writes its field."""
+    calls = []  # (L, result) per call
+    original = runner.solve_harmonic
+
+    def counted(init, p, *args, **kwargs):
+        calls.append((p.L, original(init, p, *args, **kwargs)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(runner, "solve_harmonic", counted)
+    cfg = tiny_config(output_dir=str(tmp_path / "out"))
+    res, path = runner.run_solve(cfg, "solve-harmonic")
+    assert len(calls) == 1
+    assert calls[0][0] == cfg.l_ladder[0] and calls[0][1] is res
+    assert path == str(tmp_path / "out" / "q_star.csv")
+    save_field_csv(res.field, tmp_path / "expected.csv")
+    assert (tmp_path / "expected.csv").read_bytes() == (
+        tmp_path / "out" / "q_star.csv"
+    ).read_bytes()
 
 
 def test_run_sweep_deterministic_artifacts(tmp_path):
