@@ -81,22 +81,16 @@ def main(argv=None) -> int:
             cfg = load_config(args.config)
         else:
             cfg = ExperimentConfig()
-        if args.out:
+        if args.out is not None:
             cfg = dataclasses.replace(cfg, output_dir=args.out)
         if args.seed is not None:
             cfg = dataclasses.replace(cfg, seed=args.seed)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
         return _dispatch(args, cfg)
-    except LdglimitError as exc:
+    # a domain error exits 1; an unreadable or rejected config, an output
+    # path that cannot be written or an argument the run cannot use exits 2
+    except (LdglimitError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:  # an output path that cannot be written
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, LdglimitError) else 2
 
 
 def _argument_error(args) -> str | None:
@@ -149,13 +143,9 @@ def _dispatch(args, cfg) -> int:
         return 0
 
     if args.command == "corrector":
-        try:
-            rep = runner.run_corrector(
-                cfg, log=log, center_exclusion=args.center_exclusion
-            )
-        except ValueError as exc:  # a center exclusion that cannot apply
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        rep = runner.run_corrector(
+            cfg, log=log, center_exclusion=args.center_exclusion
+        )
         for key, value in rep.items():
             print(f"{key}={value}")
         return 0

@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .fields import BOUNDARY_PATTERNS, GridSpec, interior_margin_mask
+from .fields import GridSpec, interior_margin_mask
 from .geometry import MaterialParams
 from .solvers import SolveConfig
 
@@ -25,7 +25,7 @@ class ExperimentConfig(SolveConfig):
     box_hi: float = 8.0
     boundary: str = "near_constant"
     eps: float = 0.2
-    pattern: str = BOUNDARY_PATTERNS[0]
+    pattern: str = "tilt_x"  # the one pattern boundary_near_constant draws
     margin: float = 2.0
     output_dir: str = "out"
     seed: int = 0
@@ -53,12 +53,14 @@ class ExperimentConfig(SolveConfig):
         super().__post_init__()
         if self.boundary not in ("near_constant", "hedgehog"):
             raise ValueError(f"unknown boundary {self.boundary!r}")
-        if self.pattern not in BOUNDARY_PATTERNS:
+        if self.pattern != "tilt_x":
             raise ValueError(f"unknown boundary pattern {self.pattern!r}")
         if self.eps < 0:
             raise ValueError("eps must be nonnegative")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
+        if not self.output_dir:
+            raise ValueError("output_dir must be nonempty")
         h = (self.box_hi - self.box_lo) / (min(self.dims) + 1)
         if self.margin and self.margin < 2.0 * h:
             raise ValueError("margin must be 0 or at least two node spacings")

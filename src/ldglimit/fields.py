@@ -19,8 +19,6 @@ from .bulk import f_bulk_shifted
 from .tensor_algebra import norm
 
 _IN = np.s_[1:-1]
-# the director patterns of boundary_near_constant
-BOUNDARY_PATTERNS = ("tilt_x",)
 
 
 @dataclass(frozen=True)
@@ -253,19 +251,15 @@ def boundary_hedgehog(grid: GridSpec, p: MaterialParams) -> TensorField:
 
 
 def boundary_near_constant(
-    grid: GridSpec, p: MaterialParams, eps: float,
-    pattern: str = BOUNDARY_PATTERNS[0],
+    grid: GridSpec, p: MaterialParams, eps: float
 ) -> TensorField:
-    """On-manifold data close to a constant uniaxial state.
-
+    """On-manifold data close to a constant uniaxial state, the config's
     pattern "tilt_x": the director e3 is tilted in the (e1, e3)-plane by
     angle (eps/sqrt(2)) sin(pi x1^), x1^ the normalized first coordinate.
     The sup variation of the data is then at most eps * s_+.
     """
     if eps < 0:
         raise ValueError("eps must be nonnegative")
-    if pattern not in BOUNDARY_PATTERNS:
-        raise ValueError(f"unknown boundary pattern {pattern!r}")
     lo, hi = grid.box[0]
     xhat = (grid.coords()[..., 0] - lo) / (hi - lo)
     theta = (eps / np.sqrt(2.0)) * np.sin(np.pi * xhat)
@@ -305,7 +299,9 @@ def norms(f: TensorField, g: TensorField, margin: float = 0.0) -> dict[str, floa
     return {"l2": l2, "h1_semi": h1, "sup_interior": sup}
 
 
-CSV_HEADER = "x,y,z,Q11,Q22,Q12,Q13,Q23"
+# the (row, column) of each Q component a field CSV stores; Q33 = -Q11 - Q22
+_CSV_COMPONENTS = ((0, 0), (1, 1), (0, 1), (0, 2), (1, 2))
+CSV_HEADER = "x,y,z," + ",".join(f"Q{i + 1}{j + 1}" for i, j in _CSV_COMPONENTS)
 
 
 def save_field_csv(f: TensorField, path) -> None:
@@ -313,7 +309,7 @@ def save_field_csv(f: TensorField, path) -> None:
     major, z fastest) node order; 17 significant digits."""
     axes = [["%.17g" % c for c in f.grid.axis_coords(a)] for a in range(3)]
     # each (y, z) pair's row after x, with the component fields to fill in
-    tail = ",".join(["%.17g"] * 5)
+    tail = ",".join(["%.17g"] * len(_CSV_COMPONENTS))
     yz = [f"{y},{z},{tail}" for y in axes[1] for z in axes[2]]
     with open(path, "w", newline="") as fh:
         fh.write(f"# dims={f.grid.dims[0]},{f.grid.dims[1]},{f.grid.dims[2]}\n")
@@ -323,9 +319,7 @@ def save_field_csv(f: TensorField, path) -> None:
         # one format call per first-axis plane (at 48^3 as fast as 512-row blocks)
         for x, slab in zip(axes[0], f.values):
             v = slab.reshape(-1, 3, 3)
-            block = np.column_stack([
-                v[:, 0, 0], v[:, 1, 1], v[:, 0, 1], v[:, 0, 2], v[:, 1, 2],
-            ])
+            block = np.column_stack([v[:, i, j] for i, j in _CSV_COMPONENTS])
             rows = f"{x}," + f"\n{x},".join(yz) + "\n"
             fh.write(rows % tuple(block.ravel().tolist()))
 
@@ -341,10 +335,7 @@ def load_field_csv(path) -> TensorField:
     grid = GridSpec(dims=dims, box=box)
     comp = np.loadtxt(path, delimiter=",", skiprows=3, usecols=range(3, 8))
     values = np.zeros((len(comp), 3, 3))
-    values[:, 0, 0] = comp[:, 0]
-    values[:, 1, 1] = comp[:, 1]
+    for k, (i, j) in enumerate(_CSV_COMPONENTS):
+        values[:, i, j] = values[:, j, i] = comp[:, k]
     values[:, 2, 2] = -comp[:, 0] - comp[:, 1]
-    values[:, 0, 1] = values[:, 1, 0] = comp[:, 2]
-    values[:, 0, 2] = values[:, 2, 0] = comp[:, 3]
-    values[:, 1, 2] = values[:, 2, 1] = comp[:, 4]
     return TensorField(grid, values.reshape(grid.shape + (3, 3)))

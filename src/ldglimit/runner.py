@@ -22,7 +22,7 @@ from .asymptotics import (
     fit_rate,
 )
 from .config import ExperimentConfig, format_value
-from .errors import DegenerateFit
+from .errors import CenterOnBoundary, DegenerateFit
 from .fields import (
     GridSpec,
     boundary_hedgehog,
@@ -145,11 +145,15 @@ def run_check_geometry(
 
 def hedgehog_corrector_exact(grid: GridSpec, p: MaterialParams) -> np.ndarray:
     """Closed-form normal corrector of the radial uniaxial field about the
-    box center, at interior nodes: -(18 s / ((6 a2 + b2 s) r^2)) (r^ (x) r^ - I/3)."""
+    box center, at interior nodes: -(18 s / ((6 a2 + b2 s) r^2)) (r^ (x) r^ - I/3).
+    Raises CenterOnBoundary, as boundary_hedgehog does, when a node sits at
+    the center."""
     s = p.s_plus
     center = np.array([(lo + hi) / 2.0 for lo, hi in grid.box])
     rel = grid.coords()[1:-1, 1:-1, 1:-1] - center
     r2 = np.sum(rel**2, axis=-1)
+    if np.min(r2) < (1e-12 * np.min(grid.h)) ** 2:
+        raise CenterOnBoundary("a lattice node coincides with the box center")
     nhat = rel / np.sqrt(r2)[..., None]
     amp = -18.0 * s / ((6.0 * p.a2 + p.b2 * s) * r2)
     return amp[..., None, None] * (outer(nhat, nhat) - I3 / 3.0)
@@ -210,27 +214,10 @@ def run_corrector(
     }
 
 
-SWEEP_COLUMNS = (
-    "L",
-    "energy",
-    "el_residual",
-    "iterations",
-    "l2_err",
-    "h1_err",
-    "sup_interior_err",
-    "sup_q",
-    "sup_y",
-    "sup_z",
-    "sup_r_interior",
-    "a_err_interior",
-)
-
+# the sweep.csv columns whose convergence rates are fitted, by rates.csv name
 RATE_QUANTITIES = {
-    "l2_err": "l2_err",
-    "sup_interior_err": "sup_interior_err",
-    "sup_y": "sup_y",
-    "sup_z": "sup_z",
-    "sup_r_interior": "sup_r_interior",
+    col: col
+    for col in ("l2_err", "sup_interior_err", "sup_y", "sup_z", "sup_r_interior")
 }
 
 
@@ -251,7 +238,7 @@ class SweepReport:
 def _boundary_field(cfg: ExperimentConfig, grid: GridSpec, p: MaterialParams):
     if cfg.boundary == "hedgehog":
         return boundary_hedgehog(grid, p)
-    return boundary_near_constant(grid, p, cfg.eps, pattern=cfg.pattern)
+    return boundary_near_constant(grid, p, cfg.eps)
 
 
 def _require_output_dir(path: str) -> None:
@@ -318,6 +305,7 @@ def run_sweep(cfg: ExperimentConfig, log=None, write: bool = True) -> SweepRepor
         nm = norms(res.field, q_star, margin=cfg.margin)
         diag = compute_xyz(res.field, p)
         corr = empirical_corrector(res.field, q_star, p)
+        # the sweep.csv columns, in order
         row = {
             "L": L,
             "energy": res.final_energy,
@@ -367,14 +355,15 @@ def run_sweep(cfg: ExperimentConfig, log=None, write: bool = True) -> SweepRepor
 
 
 def write_sweep_artifacts(report: SweepReport) -> None:
-    """sweep.csv (one row per ladder point), rates.csv (fitted slopes) and
-    one field CSV per ladder point, under the configured output directory."""
+    """sweep.csv (one row per ladder point, its columns in row order),
+    rates.csv (fitted slopes) and one field CSV per ladder point, under the
+    configured output directory."""
     out = report.config.output_dir
     os.makedirs(out, exist_ok=True)
     with open(os.path.join(out, "sweep.csv"), "w", newline="") as fh:
-        fh.write(",".join(SWEEP_COLUMNS) + "\n")
+        fh.write(",".join(report.rows[0]) + "\n")
         for row in report.rows:
-            fh.write(",".join(format_value(row[c]) for c in SWEEP_COLUMNS) + "\n")
+            fh.write(",".join(map(format_value, row.values())) + "\n")
     with open(os.path.join(out, "rates.csv"), "w", newline="") as fh:
         fh.write("quantity,slope,intercept,r_squared\n")
         for name, fit in report.fits.items():

@@ -140,6 +140,9 @@ def test_cli_threads_validation(capsys):
         "dims=4,4,4\nmargin=3.9",
         # a boundary pattern fields.boundary_near_constant does not draw
         "pattern=tilt_y",
+        # abspath("") is the working directory, so an empty output_dir
+        # used to pass the output check and fail after the solves
+        "output_dir=",
         # np.random.default_rng refuses a negative seed with a traceback
         "seed=-2",
         # only N > 0 (log every N-th step) and 0 (off) mean something
@@ -175,6 +178,8 @@ def test_cli_rejects_bad_config(tmp_path, capsys, line):
         ["corrector", "--center-exclusion", "100"],
         # the near-constant boundary has no center to exclude
         ["corrector", "--center-exclusion", "0.5", "--config", "near_constant.cfg"],
+        # an empty --out is an empty output_dir, not the default one
+        ["check-geometry", "--out", ""],
     ],
 )
 def test_cli_rejects_bad_arguments(tmp_path, capsys, monkeypatch, args):

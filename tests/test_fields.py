@@ -203,8 +203,6 @@ def test_boundary_near_constant(unit_params):
     assert np.max(norm(f.values - q0)) <= eps * s + 1e-12
     with pytest.raises(ValueError):
         boundary_near_constant(grid, p, -0.1)
-    with pytest.raises(ValueError):
-        boundary_near_constant(grid, p, 0.1, pattern="swirl")
 
 
 def test_interior_margin_mask():

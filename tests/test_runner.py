@@ -17,12 +17,12 @@ from ldglimit.fields import (
 from ldglimit.runner import (
     CHECK_TOLERANCES,
     RATE_QUANTITIES,
-    SWEEP_COLUMNS,
     hedgehog_corrector_exact,
     run_check_geometry,
     run_corrector,
     run_sweep,
 )
+from ldglimit.errors import CenterOnBoundary
 from ldglimit.tensor_algebra import I3, norm
 
 from conftest import tiny_config
@@ -77,6 +77,9 @@ def test_hedgehog_corrector_exact_amplitude(unit_params):
     # at unit parameters the amplitude is -3.6 / r^2
     amp = -3.6 / r2
     assert np.max(np.abs(norm(a) - np.abs(amp) * np.sqrt(2.0 / 3.0))) < 1e-10
+    # with an odd point count a node sits at the center: an error, not NaN
+    with pytest.raises(CenterOnBoundary):
+        hedgehog_corrector_exact(GridSpec(dims=(5, 5, 5), box=grid.box), p)
 
 
 def test_run_corrector_hedgehog_mode(unit_params):
@@ -103,15 +106,22 @@ def test_run_sweep_rows_fits_and_artifacts(tmp_path):
     cfg = tiny_config(output_dir=str(tmp_path / "out"))
     report = run_sweep(cfg)
     assert len(report.rows) == len(cfg.l_ladder)
-    for row in report.rows:
-        assert set(row) == set(SWEEP_COLUMNS)
     assert set(report.fits) == set(RATE_QUANTITIES)
     assert set(report.results_by_l) == set(cfg.l_ladder)
     for L, res in report.results_by_l.items():
         assert res.converged
         assert np.all(np.diff(res.energy_history) <= 0.0)
-    for name in ("sweep.csv", "rates.csv", "q_star.csv"):
-        assert (tmp_path / "out" / name).exists()
+    assert (tmp_path / "out" / "q_star.csv").exists()
+    # the written columns, in order
+    sweep_csv = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
+    assert sweep_csv[0] == (
+        "L,energy,el_residual,iterations,l2_err,h1_err,sup_interior_err,"
+        "sup_q,sup_y,sup_z,sup_r_interior,a_err_interior"
+    )
+    assert len(sweep_csv) == 1 + len(cfg.l_ladder)
+    rates_csv = (tmp_path / "out" / "rates.csv").read_text().splitlines()
+    assert rates_csv[0] == "quantity,slope,intercept,r_squared"
+    assert [line.split(",")[0] for line in rates_csv[1:]] == list(RATE_QUANTITIES)
     # one field per rung, in ladder order, read from the rung's result
     assert list(report.fields_by_l) == list(cfg.l_ladder)
     for i, (L, f) in enumerate(report.fields_by_l.items()):

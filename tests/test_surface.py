@@ -1,7 +1,8 @@
 """The package surface: every public top-level function, class and
-UPPER_CASE constant of ldglimit has a caller in the package, the benchmark
-or the acceptance gate, not only in the unit tests; and no module of the
-package or the tests imports a name it never uses."""
+UPPER_CASE constant of ldglimit, and every public method and property of
+its classes, has a caller in the package, the benchmark or the acceptance
+gate, not only in the unit tests; and no module of the package or the
+tests imports a name it never uses."""
 
 import ast
 from pathlib import Path
@@ -34,32 +35,46 @@ def _references(path: Path) -> set[str]:
     return refs
 
 
+def _public_definitions(path: Path) -> dict[str, str]:
+    """Qualified name of each public top-level function, class and
+    UPPER_CASE constant of a module, and of each public method and
+    property of its classes."""
+    defined = {}
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef):
+                    defined[f"{path.stem}.{node.name}.{member.name}"] = member.name
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined[f"{path.stem}.{node.name}"] = node.name
+        elif isinstance(node, ast.Assign):
+            for t in node.targets:
+                if isinstance(t, ast.Name) and t.id.isupper():
+                    defined[f"{path.stem}.{t.id}"] = t.id
+    return {q: name for q, name in defined.items() if not name.startswith("_")}
+
+
 def test_every_public_definition_has_a_caller():
     defined = {}
     for path in SRC:
-        for node in ast.parse(path.read_text()).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                names = [node.name]
-            elif isinstance(node, ast.Assign):
-                names = [t.id for t in node.targets
-                         if isinstance(t, ast.Name) and t.id.isupper()]
-            else:
-                continue
-            for name in names:
-                if not name.startswith("_"):
-                    defined[name] = f"{path.stem}.{name}"
-    # the scan sees the package's functions and constants
-    assert {"harmonic_rhs_array", "CACHE_BLOCK"} <= set(defined)
+        defined.update(_public_definitions(path))
+    # the scan sees the package's functions, constants, methods and properties
+    assert {
+        "geometry.harmonic_rhs_array",
+        "tensor_algebra.CACHE_BLOCK",
+        "fields.GridSpec.axis_coords",
+        "runner.SweepReport.fields_by_l",
+    } <= set(defined)
     referenced = set().union(*(_references(path) for path in CALLERS))
     orphans = sorted(
         qualified
-        for name, qualified in defined.items()
+        for qualified, name in defined.items()
         if name not in referenced and name not in ALLOWED
     )
     assert orphans == []
     # an allowlist entry that gains a caller or goes away must be dropped
     assert all(
-        name in defined and name not in referenced for name in ALLOWED
+        name in defined.values() and name not in referenced for name in ALLOWED
     )
 
 
