@@ -4,7 +4,9 @@ rewritten equation's remainder, the first-order corrector split, the
 manifold-projection equation residual, and log-log rate fitting.
 
 Field-valued results are arrays over interior nodes (one stencil layer off
-each result that needs second differences of derived quantities).
+each result that needs second differences of derived quantities), filled
+slab by slab over fields.plane_slabs; a node's result reads only its
+stencil neighbours, so it does not depend on the slab size.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from .fields import (
     edge_grad_squared,
     gradient_array,
     laplacian_array,
+    plane_slabs,
     require_same_grid,
 )
 from .geometry import (
@@ -35,22 +38,15 @@ from .tensor_algebra import I3, matmul_sum, norm, outer, poly_min
 _IN = np.s_[1:-1]
 # largest condition estimate of projection_residual's inversion matrix
 _COND_LIMIT = 1e8
-# interior nodes per slab of projection_residual, rounded down to whole
-# first-axis planes (at least one): a slab's (nodes, 3, 3) temporaries stay
-# near 1 MiB instead of growing with the grid (at 48^3, median of 12 runs:
-# the whole grid in one pass peaked at 159 MiB traced and took 307 ms,
-# slabs of 16384 nodes 25 MiB and 251 ms, 8192 12 MiB and 261 ms, 32768
-# 48 MiB and 270 ms)
-_RESIDUAL_BLOCK = 16384
 
 
 @dataclass
 class DiagnosticFields:
-    """Pointwise diagnostics at interior nodes: the rescaled
-    minimal-polynomial residual x, its trace defect y, the tensorial defect
-    z, and the rewritten-equation remainder r."""
+    """Pointwise diagnostics at interior nodes, built from the rescaled
+    minimal-polynomial residual x = poly_min(Q)/L (a per-slab intermediate,
+    not kept): its trace defect y, the tensorial defect z, and the
+    rewritten-equation remainder r."""
 
-    x_field: np.ndarray
     y_field: np.ndarray
     z_field: np.ndarray
     r_field: np.ndarray
@@ -58,11 +54,10 @@ class DiagnosticFields:
 
 @dataclass
 class CorrectorFields:
-    """Empirical first-order corrector data at interior nodes."""
+    """Empirical first-order corrector data at interior nodes: the normal
+    part a of (Q_L - Q_*)/L at the limit field."""
 
     a_field: np.ndarray
-    b_field: np.ndarray
-    qdot_field: np.ndarray
 
 
 @dataclass
@@ -84,15 +79,21 @@ def compute_xyz(q_l: TensorField, p: MaterialParams) -> DiagnosticFields:
     square, so the diagnostics inherit the stencil's exact product rule and
     carry no O(h^2) floor of their own.
     """
-    return _diagnostics(q_l, p, edge_grad_squared(q_l.values, q_l.grid.h))
+    shape = q_l.interior.shape
+    y, z, r = np.empty(shape[:3]), np.empty(shape), np.empty(shape)
+    for lo, hi in plane_slabs(q_l.grid):
+        v = q_l.values[lo:hi + 2]
+        gsq = edge_grad_squared(v, q_l.grid.h)
+        y[lo:hi], z[lo:hi], r[lo:hi] = _diagnostics(v[_IN, _IN, _IN], gsq, p)
+    return DiagnosticFields(y_field=y, z_field=z, r_field=r)
 
 
 def _diagnostics(
-    q_l: TensorField, p: MaterialParams, gsq: np.ndarray
-) -> DiagnosticFields:
-    """compute_xyz on the edge-based squared gradient gsq of q_l."""
+    q: np.ndarray, gsq: np.ndarray, p: MaterialParams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """compute_xyz's y, z and r at the nodes q with edge-based squared
+    gradient gsq."""
     s = p.s_plus
-    q = q_l.interior
     gn2 = np.trace(gsq, axis1=-2, axis2=-1)
     k = _coupling(p)
 
@@ -104,7 +105,7 @@ def _diagnostics(
     ) / p.b2
     r = p.c2 * y[..., None, None] * q + (p.b2 / 3.0) * y[..., None, None] * I3 \
         - p.b2 * z
-    return DiagnosticFields(x_field=x, y_field=y, z_field=z, r_field=r)
+    return y, z, r
 
 
 def rewritten_identity_residual(q_l: TensorField, p: MaterialParams) -> np.ndarray:
@@ -114,11 +115,14 @@ def rewritten_identity_residual(q_l: TensorField, p: MaterialParams) -> np.ndarr
     Algebraically this collapses to the discrete Euler-Lagrange residual, so
     it is bounded by the solver's reported el_residual up to rounding.
     """
-    lap = laplacian_array(q_l.values, q_l.grid.h)
-    gsq = edge_grad_squared(q_l.values, q_l.grid.h)
-    rhs = harmonic_rhs_array(q_l.interior, gsq, p.s_plus)
-    r = _diagnostics(q_l, p, gsq).r_field
-    return norm(lap - rhs - r)
+    h = q_l.grid.h
+    out = np.empty(q_l.grid.dims)
+    for lo, hi in plane_slabs(q_l.grid):
+        v = q_l.values[lo:hi + 2]
+        q, gsq = v[_IN, _IN, _IN], edge_grad_squared(v, h)
+        rhs = harmonic_rhs_array(q, gsq, p.s_plus)
+        out[lo:hi] = norm(laplacian_array(v, h) - rhs - _diagnostics(q, gsq, p)[2])
+    return out
 
 
 def corrector_a(q_star: TensorField, p: MaterialParams) -> np.ndarray:
@@ -126,23 +130,29 @@ def corrector_a(q_star: TensorField, p: MaterialParams) -> np.ndarray:
     field alone (finite-difference gradients), at interior nodes."""
     s = p.s_plus
     require_on_manifold(q_star.values, s, "limit field")
-    q = q_star.interior
-    gsq = grad_squared(gradient_array(q_star.values, q_star.grid.h))
-    gn2 = np.trace(gsq, axis1=-2, axis2=-1)[..., None, None]
     k = _coupling(p)
-    bracket = k * gn2 * ((p.c2 * q + (p.b2 / 3.0) * I3) @ (q - (s / 6.0) * I3)) - gsq
-    return -(2.0 / (p.b2 * s**2)) * bracket
+    out = np.empty(q_star.interior.shape)
+    for lo, hi in plane_slabs(q_star.grid):
+        v = q_star.values[lo:hi + 2]
+        q = v[_IN, _IN, _IN]
+        gsq = grad_squared(gradient_array(v, q_star.grid.h))
+        gn2 = np.trace(gsq, axis1=-2, axis2=-1)[..., None, None]
+        bracket = k * gn2 * ((p.c2 * q + (p.b2 / 3.0) * I3) @ (q - (s / 6.0) * I3))
+        out[lo:hi] = -(2.0 / (p.b2 * s**2)) * (bracket - gsq)
+    return out
 
 
 def empirical_corrector(
     q_l: TensorField, q_star: TensorField, p: MaterialParams
 ) -> CorrectorFields:
-    """Split the empirical (Q_L - Q_*)/L into normal and tangential parts at
-    the limit field, nodewise."""
+    """The normal part of the empirical (Q_L - Q_*)/L at the limit field,
+    nodewise."""
     require_same_grid(q_l, q_star)
-    qdot = (q_l.interior - q_star.interior) / p.L
-    normal = normal_component(qdot, q_star.interior, p.s_plus)
-    return CorrectorFields(a_field=normal, b_field=qdot - normal, qdot_field=qdot)
+    a = np.empty(q_star.interior.shape)
+    for lo, hi in plane_slabs(q_star.grid):
+        q = q_star.interior[lo:hi]
+        a[lo:hi] = normal_component((q_l.interior[lo:hi] - q) / p.L, q, p.s_plus)
+    return CorrectorFields(a_field=a)
 
 
 def corrector_b_residual(
@@ -198,24 +208,18 @@ def projection_residual(
     shifted inversion matrix (beta fixes its top eigendirection; the result
     is beta-independent), and evaluates the stated equation.
 
-    Runs over slabs of first-axis planes holding about _RESIDUAL_BLOCK
-    interior nodes, each read with one halo plane on either side.  A node's
-    residual reads only its stencil neighbours, so the result does not
-    depend on the slab size.  The first slab holding a failing node raises:
-    DegenerateSpectrum when a node of it (halo included) fails the eigen-gap
-    test, else IllConditionedT naming a failing node in interior-node
-    indices.
+    Runs over fields.plane_slabs.  The first slab holding a failing node
+    raises: DegenerateSpectrum when a node of it (halo included) fails the
+    eigen-gap test, else IllConditionedT naming a failing node in
+    interior-node indices.
     """
     s = p.s_plus
     if beta is None:
         beta = s
     if beta == 0.0:
         raise ValueError("beta must be nonzero")
-    n1, n2, n3 = q_l.grid.dims
-    planes = max(1, _RESIDUAL_BLOCK // (n2 * n3))
-    out = np.empty((n1, n2, n3))
-    for lo in range(0, n1, planes):
-        hi = lo + planes  # the slices stop at the grid's end
+    out = np.empty(q_l.grid.dims)
+    for lo, hi in plane_slabs(q_l.grid):
         _slab_residual(
             q_l.values[lo:hi + 2], q_l.grid.h, p, beta, lo, out[lo:hi]
         )

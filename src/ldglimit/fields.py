@@ -19,6 +19,14 @@ from .bulk import f_bulk_shifted
 from .tensor_algebra import norm
 
 _IN = np.s_[1:-1]
+# interior nodes per slab of the field diagnostics, rounded down to whole
+# first-axis planes (at least one).  projection_residual at 48^3 peaked at
+# 159 MiB traced over the whole grid, 12 MiB in slabs of 8192 nodes and 25
+# MiB in 16384 (warm: 261 and 251 ms, median of 12).  In a fresh process
+# running the benchmark's 48^3 diagnostics, 16384-node slabs hand their
+# temporaries back to the OS and fault them in again every slab (31k minor
+# faults, 303 ms per call, median of 10); 8192 do not (1.3k, 231 ms).
+SLAB_NODES = 8192
 
 
 @dataclass(frozen=True)
@@ -94,6 +102,17 @@ def require_same_grid(f: TensorField, g: TensorField) -> None:
     """Raise GridMismatch unless the two fields share one grid."""
     if f.grid != g.grid:
         raise GridMismatch("fields live on different grids")
+
+
+def plane_slabs(grid: GridSpec):
+    """Yield the diagnostics' slabs as interior first-axis plane ranges
+    (lo, hi): as many whole planes as fit in SLAB_NODES interior nodes, at
+    least one.  A slab's lattice planes, one halo plane on either side, are
+    values[lo:hi + 2]."""
+    n1, n2, n3 = grid.dims
+    planes = max(1, SLAB_NODES // (n2 * n3))
+    for lo in range(0, n1, planes):
+        yield lo, min(lo + planes, n1)
 
 
 def laplacian_array(values: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -235,19 +254,28 @@ def bulk_energy(f: TensorField, p: MaterialParams) -> float:
     return float(np.sum(node_weights(f.grid) * density)) * f.grid.cell_volume()
 
 
-def boundary_hedgehog(grid: GridSpec, p: MaterialParams) -> TensorField:
-    """Radial uniaxial data s_+(r^ (x) r^ - I/3) about the box center.
+def center_offsets(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Each node's offset from the box center, shape (n1+2, n2+2, n3+2, 3),
+    and its squared length."""
+    rel = grid.coords() - np.array([(lo + hi) / 2.0 for lo, hi in grid.box])
+    return rel, np.sum(rel**2, axis=-1)
 
-    Raises CenterOnBoundary when any lattice node coincides with the center
-    (the radial director is undefined there).  With an even interior point
-    count per axis the center is offset from the lattice by h/2.
-    """
-    center = np.array([(lo + hi) / 2.0 for lo, hi in grid.box])
-    rel = grid.coords() - center
-    r = np.linalg.norm(rel, axis=-1)
-    if np.min(r) < 1e-12 * np.min(grid.h):
+
+def radial_directions(rel: np.ndarray, r2: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Unit vectors along center_offsets' rel (squared lengths r2) on a
+    grid of spacing h.  Raises CenterOnBoundary when a node coincides with
+    the center; with an even interior point count per axis the center is
+    offset from the lattice by h/2."""
+    if np.min(r2) < (1e-12 * np.min(h)) ** 2:
         raise CenterOnBoundary("a lattice node coincides with the box center")
-    return TensorField(grid, uniaxial(rel / r[..., None], p.s_plus))
+    return rel / np.sqrt(r2)[..., None]
+
+
+def boundary_hedgehog(grid: GridSpec, p: MaterialParams) -> TensorField:
+    """Radial uniaxial data s_+(r^ (x) r^ - I/3) about the box center;
+    raises CenterOnBoundary as radial_directions does."""
+    n = radial_directions(*center_offsets(grid), grid.h)
+    return TensorField(grid, uniaxial(n, p.s_plus))
 
 
 def boundary_near_constant(
@@ -286,16 +314,21 @@ def interior_margin_mask(grid: GridSpec, margin: float) -> np.ndarray:
 
 
 def norms(f: TensorField, g: TensorField, margin: float = 0.0) -> dict[str, float]:
-    """L2, H1-seminorm and interior sup distance between two fields."""
+    """L2, H1-seminorm and interior sup distance between two fields, over
+    plane_slabs: the squared norms add up per-slab sums."""
     require_same_grid(f, g)
-    diff = f.values - g.values
+    l2 = h1 = 0.0
+    dist = np.empty(f.grid.dims)
+    for lo, hi in plane_slabs(f.grid):
+        diff = f.values[lo:hi + 2] - g.values[lo:hi + 2]
+        d = diff[_IN, _IN, _IN]
+        l2 += np.einsum("xyzij,xyzij->", d, d)
+        grads = gradient_array(diff, f.grid.h)
+        h1 += np.einsum("axyzij,axyzij->", grads, grads)
+        dist[lo:hi] = norm(d)
     vol = f.grid.cell_volume()
-    d_int = diff[_IN, _IN, _IN]
-    l2 = float(np.sqrt(np.einsum("xyzij,xyzij->", d_int, d_int) * vol))
-    grads = gradient_array(diff, f.grid.h)
-    h1 = float(np.sqrt(np.einsum("axyzij,axyzij->", grads, grads) * vol))
-    mask = interior_margin_mask(f.grid, margin)
-    sup = float(np.max(norm(d_int)[mask]))
+    l2, h1 = float(np.sqrt(l2 * vol)), float(np.sqrt(h1 * vol))
+    sup = float(np.max(dist[interior_margin_mask(f.grid, margin)]))
     return {"l2": l2, "h1_semi": h1, "sup_interior": sup}
 
 

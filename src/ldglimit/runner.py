@@ -22,15 +22,17 @@ from .asymptotics import (
     fit_rate,
 )
 from .config import ExperimentConfig, format_value
-from .errors import CenterOnBoundary, DegenerateFit
+from .errors import DegenerateFit
 from .fields import (
     GridSpec,
     boundary_hedgehog,
     boundary_near_constant,
+    center_offsets,
     gradient_array,
     interior_margin_mask,
     laplacian_array,
     norms,
+    radial_directions,
     save_field_csv,
 )
 from .geometry import (
@@ -49,6 +51,8 @@ from .geometry import (
 )
 from .solvers import SolveResult, solve_harmonic, solve_ldg
 from .tensor_algebra import I3, comm, norm, outer, poly_min
+
+_IN = np.s_[1:-1]
 
 
 def _identity_residuals(n, cx, cy, cz, p: MaterialParams):
@@ -148,13 +152,15 @@ def hedgehog_corrector_exact(grid: GridSpec, p: MaterialParams) -> np.ndarray:
     box center, at interior nodes: -(18 s / ((6 a2 + b2 s) r^2)) (r^ (x) r^ - I/3).
     Raises CenterOnBoundary, as boundary_hedgehog does, when a node sits at
     the center."""
+    rel, r2 = center_offsets(grid)
+    return _radial_corrector(rel[_IN, _IN, _IN], r2[_IN, _IN, _IN], grid.h, p)
+
+
+def _radial_corrector(rel, r2, h, p: MaterialParams) -> np.ndarray:
+    """hedgehog_corrector_exact at nodes with center offsets rel of squared
+    lengths r2."""
     s = p.s_plus
-    center = np.array([(lo + hi) / 2.0 for lo, hi in grid.box])
-    rel = grid.coords()[1:-1, 1:-1, 1:-1] - center
-    r2 = np.sum(rel**2, axis=-1)
-    if np.min(r2) < (1e-12 * np.min(grid.h)) ** 2:
-        raise CenterOnBoundary("a lattice node coincides with the box center")
-    nhat = rel / np.sqrt(r2)[..., None]
+    nhat = radial_directions(rel, r2, h)
     amp = -18.0 * s / ((6.0 * p.a2 + p.b2 * s) * r2)
     return amp[..., None, None] * (outer(nhat, nhat) - I3 / 3.0)
 
@@ -188,16 +194,17 @@ def run_corrector(
         width = cfg.box_hi - cfg.box_lo
         if center_exclusion is None:
             center_exclusion = 0.25 * width
-        center = np.array([(lo + hi) / 2.0 for lo, hi in grid.box])
-        rel = grid.coords()[1:-1, 1:-1, 1:-1] - center
-        mask = np.linalg.norm(rel, axis=-1) >= center_exclusion
+        rel, r2 = center_offsets(grid)
+        rel, r2 = rel[_IN, _IN, _IN], r2[_IN, _IN, _IN]
+        # before boundary_hedgehog, whose CenterOnBoundary is a domain error
+        mask = np.sqrt(r2) >= center_exclusion
         if not mask.any():
             raise ValueError(
                 f"center exclusion {center_exclusion:g} leaves no interior node"
             )
         f = boundary_hedgehog(grid, p)
         a_fd = corrector_a(f, p)
-        a_exact = hedgehog_corrector_exact(grid, p)
+        a_exact = _radial_corrector(rel, r2, grid.h, p)
         err = norm(a_fd - a_exact)
         return {
             "mode": "hedgehog",

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ldglimit import asymptotics, geometry
+from ldglimit import asymptotics, fields, geometry
 from ldglimit.asymptotics import (
     CorrectorFields,
     DiagnosticFields,
@@ -34,6 +34,7 @@ from ldglimit.fields import (
     edge_grad_squared,
     gradient_array,
     laplacian_array,
+    norms,
 )
 from ldglimit.geometry import (
     MaterialParams,
@@ -41,11 +42,13 @@ from ldglimit.geometry import (
     harmonic_rhs_array,
     normal_basis_s0,
     normal_component,
+    normality_residual,
     project_array,
     projection_frame,
+    tangency_residual,
     uniaxial,
 )
-from ldglimit.tensor_algebra import I3, norm, qtensor
+from ldglimit.tensor_algebra import I3, norm, poly_min, qtensor
 
 from conftest import zeros_field
 
@@ -81,19 +84,26 @@ def test_compute_xyz_zero_on_constant_manifold_field():
     f.values[...] = uniaxial(np.array([0.0, 0.0, 1.0]), p.s_plus)
     d = compute_xyz(f, p)
     assert isinstance(d, DiagnosticFields)
-    for arr in (d.x_field, d.y_field, d.z_field, d.r_field):
+    for arr in (d.y_field, d.z_field, d.r_field):
         assert np.max(np.abs(arr)) < 1e-13
 
 
 def test_x_field_definitional_identity(rng):
-    """L * X + (s/3) Q + (2/9) s^2 I = Q^2 nodewise, for arbitrary data."""
+    """The rescaled residual X = poly_min(Q) / L that z carries:
+    z - (k |grad Q|^2 (c2 Q + b2/3 I) + harmonic RHS) / b2 = X nodewise, for
+    arbitrary data."""
     p = make_params()
     s = p.s_plus
     f = TensorField(GRID, qtensor(rng.normal(size=GRID.shape + (3, 3))))
     d = compute_xyz(f, p)
     q = f.interior
-    lhs = p.L * d.x_field + (s / 3.0) * q + (2.0 / 9.0) * s**2 * I3
-    assert np.max(np.abs(lhs - q @ q)) < 1e-12
+    k = 6.0 / (6.0 * p.a2 + p.b2 * s)
+    gsq = edge_grad_squared(f.values, GRID.h)
+    gn2 = np.trace(gsq, axis1=-2, axis2=-1)[..., None, None]
+    x = d.z_field - (
+        k * gn2 * (p.c2 * q + (p.b2 / 3.0) * I3) + harmonic_rhs_array(q, gsq, s)
+    ) / p.b2
+    assert np.max(np.abs(x - poly_min(q, s) / p.L)) < 1e-12
 
 
 def test_y_field_trace_identity(rng):
@@ -102,7 +112,7 @@ def test_y_field_trace_identity(rng):
     d = compute_xyz(f, p)
     k = 6.0 / (6.0 * p.a2 + p.b2 * p.s_plus)
     gn2 = np.trace(edge_grad_squared(f.values, GRID.h), axis1=-2, axis2=-1)
-    tr_x = np.trace(d.x_field, axis1=-2, axis2=-1)
+    tr_x = np.trace(poly_min(f.interior, p.s_plus), axis1=-2, axis2=-1) / p.L
     assert np.max(np.abs(d.y_field - (tr_x + k * gn2))) < 1e-12
 
 
@@ -167,9 +177,11 @@ def test_empirical_corrector_recovers_constructed_split(rng):
     c = empirical_corrector(q_l, q_star, p)
     assert isinstance(c, CorrectorFields)
     expected_normal = normal_component(pert[_IN, _IN, _IN], q_star.interior, s)
-    assert np.max(np.abs(c.qdot_field - pert[_IN, _IN, _IN])) < 1e-9
     assert np.max(np.abs(c.a_field - expected_normal)) < 1e-9
-    assert np.max(np.abs(c.a_field + c.b_field - c.qdot_field)) < 1e-12
+    # a is normal and the remainder (Q_L - Q_*)/L - a is tangent
+    assert np.max(normality_residual(c.a_field, q_star.interior)) < 1e-9
+    tangential = pert[_IN, _IN, _IN] - c.a_field
+    assert np.max(tangency_residual(tangential, q_star.interior, s)) < 1e-9
     other = zeros_field(GridSpec(dims=(4, 4, 4)))
     with pytest.raises(GridMismatch):
         empirical_corrector(q_l, other, p)
@@ -338,10 +350,10 @@ def test_projection_residual_slabs_are_bit_identical(monkeypatch):
     p = make_params()
     f = slab_test_field(p)
     for beta in (p.s_plus, 2.0 * p.s_plus):
-        monkeypatch.setattr(asymptotics, "_RESIDUAL_BLOCK", 10**9)
+        monkeypatch.setattr(fields, "SLAB_NODES", 10**9)
         ref = projection_residual(f, p, beta=beta)
         for block in (1, 2 * 6 * 5):
-            monkeypatch.setattr(asymptotics, "_RESIDUAL_BLOCK", block)
+            monkeypatch.setattr(fields, "SLAB_NODES", block)
             assert np.array_equal(projection_residual(f, p, beta=beta), ref)
 
 
@@ -357,7 +369,7 @@ def test_projection_residual_names_ill_conditioned_node_in_last_slab(monkeypatch
     f.values[9, 3, 4] += 0.3 * s * normal_basis_s0(n)[1]
     monkeypatch.setattr(asymptotics, "_COND_LIMIT", 1.5)
     for block in (1, 10**9):
-        monkeypatch.setattr(asymptotics, "_RESIDUAL_BLOCK", block)
+        monkeypatch.setattr(fields, "SLAB_NODES", block)
         with pytest.raises(IllConditionedT, match=r"interior node \(8, 2, 3\)"):
             projection_residual(f, p)
 
@@ -368,7 +380,7 @@ def test_projection_residual_degenerate_in_last_slab(monkeypatch):
     p = make_params()
     f = slab_test_field(p)
     f.values[-2:] = 0.0
-    monkeypatch.setattr(asymptotics, "_RESIDUAL_BLOCK", 1)
+    monkeypatch.setattr(fields, "SLAB_NODES", 1)
     with pytest.raises(DegenerateSpectrum):
         projection_residual(f, p)
 
@@ -381,10 +393,68 @@ def test_projection_residual_slab_memory(monkeypatch):
     f = boundary_near_constant(grid, p, 0.3)
     peaks = []
     for block in (1, 10**9):
-        monkeypatch.setattr(asymptotics, "_RESIDUAL_BLOCK", block)
+        monkeypatch.setattr(fields, "SLAB_NODES", block)
         tracemalloc.start()
         try:
             projection_residual(f, p)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < peaks[1] / 3
+
+
+def test_field_diagnostics_slabs_are_bit_identical(monkeypatch):
+    """compute_xyz, rewritten_identity_residual, corrector_a and
+    empirical_corrector give the bits of a single slab with one plane per
+    slab and with two (the last slab one plane); norms' sup is equal and its
+    per-slab sums agree to rounding."""
+    p = make_params()
+    q_star = boundary_near_constant(SLAB_GRID, p, 0.3)
+    q_l = slab_test_field(p)
+
+    def run():
+        d = compute_xyz(q_l, p)
+        return {
+            "y": d.y_field,
+            "z": d.z_field,
+            "r": d.r_field,
+            "rewritten": rewritten_identity_residual(q_l, p),
+            "corrector_a": corrector_a(q_star, p),
+            "a_field": empirical_corrector(q_l, q_star, p).a_field,
+        }, norms(q_l, q_star, margin=0.5)
+
+    monkeypatch.setattr(fields, "SLAB_NODES", 10**9)
+    ref, ref_norms = run()
+    for block in (1, 2 * 6 * 5):
+        monkeypatch.setattr(fields, "SLAB_NODES", block)
+        got, got_norms = run()
+        for name, arr in ref.items():
+            assert np.array_equal(got[name], arr), (block, name)
+        assert got_norms["sup_interior"] == ref_norms["sup_interior"]
+        for name in ("l2", "h1_semi"):
+            assert got_norms[name] == pytest.approx(ref_norms[name], rel=1e-15)
+
+
+@pytest.mark.parametrize("kernel", ["norms", "compute_xyz"])
+def test_field_diagnostics_slab_memory(monkeypatch, kernel):
+    """On a long grid, one-plane slabs of norms and compute_xyz peak below a
+    third of the traced memory of a single slab."""
+    p = make_params()
+    grid = GridSpec(dims=(24, 8, 8), box=((0.0, 12.0), (0.0, 4.0), (0.0, 4.0)))
+    q_star = boundary_near_constant(grid, p, 0.3)
+    q_l = TensorField(grid, q_star.values + 1e-2 * p.s_plus * q_star.values**2)
+    if kernel == "norms":
+        def call():
+            norms(q_l, q_star)
+    else:
+        def call():
+            compute_xyz(q_l, p)
+    peaks = []
+    for block in (1, 10**9):
+        monkeypatch.setattr(fields, "SLAB_NODES", block)
+        tracemalloc.start()
+        try:
+            call()
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()

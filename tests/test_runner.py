@@ -94,6 +94,18 @@ def test_run_corrector_hedgehog_mode(unit_params):
     assert rep["max_err"] < 0.2 * rep["sup_a"]
 
 
+def test_run_corrector_checks_exclusion_before_center():
+    """On a grid with a node at the center, an exclusion radius that leaves
+    no node is the argument error it is on any grid; a usable one reaches
+    the center check."""
+    cfg = tiny_config(boundary="hedgehog", box_lo=-1.0, box_hi=1.0,
+                      dims=(5, 5, 5))
+    with pytest.raises(ValueError, match="leaves no interior node"):
+        run_corrector(cfg, center_exclusion=100.0)
+    with pytest.raises(CenterOnBoundary):
+        run_corrector(cfg, center_exclusion=0.3)
+
+
 def test_run_corrector_near_constant_mode():
     cfg = tiny_config()
     rep = run_corrector(cfg)

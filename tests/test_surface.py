@@ -1,8 +1,9 @@
 """The package surface: every public top-level function, class and
-UPPER_CASE constant of ldglimit, and every public method and property of
-its classes, has a caller in the package, the benchmark or the acceptance
-gate, not only in the unit tests; and no module of the package or the
-tests imports a name it never uses."""
+UPPER_CASE constant of ldglimit, every public method and property of its
+classes, and every public field of its dataclasses, has a caller or reader
+in the package, the benchmark or the acceptance gate, not only in the unit
+tests; and no module of the package or the tests imports a name it never
+uses."""
 
 import ast
 from pathlib import Path
@@ -13,8 +14,11 @@ CALLERS = SRC + sorted((ROOT / "perfbench").glob("*.py")) + [
     ROOT / "tests" / "test_acceptance.py"
 ]
 
-# public names kept without a caller, each with its reason
-ALLOWED = {"corrector_b_residual": "ROADMAP item 3"}
+# public definitions kept without a caller or reader, each with its reason
+ALLOWED = {
+    "asymptotics.corrector_b_residual": "ROADMAP item 3",
+    "solvers.SolveResult.backtracks": "ROADMAP item 1, step 2 (sweep.csv backtracks)",
+}
 # (module, name) imports kept unused, each with its reason
 UNUSED_IMPORTS_ALLOWED = {
     ("test_acceptance", "fit_rate"): "the acceptance gate stays fixed",
@@ -23,58 +27,86 @@ UNUSED_IMPORTS_ALLOWED = {
 
 def _references(path: Path) -> set[str]:
     """Names a module loads (not the ones it binds), reads as attributes
-    or imports."""
+    or imports.  An attribute read is also kept as ".name", the one way a
+    method, property or dataclass field is read (an assignment or a keyword
+    argument only writes it)."""
     refs = set()
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             refs.add(node.id)
         elif isinstance(node, ast.Attribute):
             refs.add(node.attr)
+            if isinstance(node.ctx, ast.Load):
+                refs.add("." + node.attr)
         elif isinstance(node, ast.ImportFrom):
             refs.update(alias.name for alias in node.names)
     return refs
 
 
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(
+        isinstance(d, ast.Name) and d.id == "dataclass"
+        or isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
+        for d in node.decorator_list
+    )
+
+
 def _public_definitions(path: Path) -> dict[str, str]:
     """Qualified name of each public top-level function, class and
-    UPPER_CASE constant of a module, and of each public method and
-    property of its classes."""
+    UPPER_CASE constant of a module, and of each public method and property
+    of its classes and field of its dataclasses, mapped to the reference
+    that counts as its use (".name" for the members)."""
     defined = {}
     for node in ast.parse(path.read_text()).body:
         if isinstance(node, ast.ClassDef):
             for member in node.body:
                 if isinstance(member, ast.FunctionDef):
-                    defined[f"{path.stem}.{node.name}.{member.name}"] = member.name
+                    name = member.name
+                elif (
+                    isinstance(member, ast.AnnAssign)
+                    and isinstance(member.target, ast.Name)
+                    and _is_dataclass(node)
+                ):
+                    name = member.target.id
+                else:
+                    continue
+                defined[f"{path.stem}.{node.name}.{name}"] = "." + name
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             defined[f"{path.stem}.{node.name}"] = node.name
         elif isinstance(node, ast.Assign):
             for t in node.targets:
                 if isinstance(t, ast.Name) and t.id.isupper():
                     defined[f"{path.stem}.{t.id}"] = t.id
-    return {q: name for q, name in defined.items() if not name.startswith("_")}
+    return {
+        q: ref for q, ref in defined.items() if not q.rsplit(".", 1)[1].startswith("_")
+    }
 
 
 def test_every_public_definition_has_a_caller():
     defined = {}
     for path in SRC:
         defined.update(_public_definitions(path))
-    # the scan sees the package's functions, constants, methods and properties
+    # the scan sees the package's functions, constants, methods, properties
+    # and dataclass fields
     assert {
         "geometry.harmonic_rhs_array",
         "tensor_algebra.CACHE_BLOCK",
         "fields.GridSpec.axis_coords",
         "runner.SweepReport.fields_by_l",
+        "asymptotics.DiagnosticFields.y_field",
+        "solvers.SolveResult.backtracks",
     } <= set(defined)
     referenced = set().union(*(_references(path) for path in CALLERS))
     orphans = sorted(
         qualified
-        for qualified, name in defined.items()
-        if name not in referenced and name not in ALLOWED
+        for qualified, ref in defined.items()
+        if ref not in referenced and qualified not in ALLOWED
     )
     assert orphans == []
     # an allowlist entry that gains a caller or goes away must be dropped
     assert all(
-        name in defined.values() and name not in referenced for name in ALLOWED
+        qualified in defined and defined[qualified] not in referenced
+        for qualified in ALLOWED
     )
 
 
