@@ -42,14 +42,25 @@ _COND_LIMIT = 1e8
 
 @dataclass
 class DiagnosticFields:
-    """Pointwise diagnostics at interior nodes, built from the rescaled
-    minimal-polynomial residual x = poly_min(Q)/L (a per-slab intermediate,
-    not kept): its trace defect y, the tensorial defect z, and the
-    rewritten-equation remainder r."""
+    """Pointwise diagnostics of the field q_l at interior nodes, built from
+    the rescaled minimal-polynomial residual x = poly_min(Q)/L (a per-slab
+    intermediate, not kept): its trace defect y, the tensorial defect z, and
+    the rewritten-equation remainder r, formed from them on access."""
 
     y_field: np.ndarray
     z_field: np.ndarray
-    r_field: np.ndarray
+    q_l: TensorField
+    params: MaterialParams
+
+    @property
+    def r_field(self) -> np.ndarray:
+        """r over plane_slabs: an algebraic function of y, z and Q, so
+        derived rather than stored."""
+        q, y, z = self.q_l.interior, self.y_field, self.z_field
+        r = np.empty(z.shape)
+        for lo, hi in plane_slabs(self.q_l.grid):
+            r[lo:hi] = _remainder(q[lo:hi], y[lo:hi], z[lo:hi], self.params)
+        return r
 
 
 @dataclass
@@ -77,40 +88,42 @@ def compute_xyz(q_l: TensorField, p: MaterialParams) -> DiagnosticFields:
 
     The squared gradients use the edge-based (stencil-compatible) discrete
     square, so the diagnostics inherit the stencil's exact product rule and
-    carry no O(h^2) floor of their own.
+    carry no O(h^2) floor of their own.  r is derived from y, z and q_l.
     """
     shape = q_l.interior.shape
-    y, z, r = np.empty(shape[:3]), np.empty(shape), np.empty(shape)
+    y, z = np.empty(shape[:3]), np.empty(shape)
     for lo, hi in plane_slabs(q_l.grid):
         v = q_l.values[lo:hi + 2]
         gsq = edge_grad_squared(v, q_l.grid.h)
-        y[lo:hi], z[lo:hi], r[lo:hi] = _diagnostics(v[_IN, _IN, _IN], gsq, p)
-    return DiagnosticFields(y_field=y, z_field=z, r_field=r)
+        y[lo:hi], z[lo:hi], _ = _diagnostics(v[_IN, _IN, _IN], gsq, p)
+    return DiagnosticFields(y_field=y, z_field=z, q_l=q_l, params=p)
 
 
 def _diagnostics(
     q: np.ndarray, gsq: np.ndarray, p: MaterialParams
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """compute_xyz's y, z and r at the nodes q with edge-based squared
-    gradient gsq."""
+    """compute_xyz's y and z at the nodes q with edge-based squared
+    gradient gsq, and the harmonic right-hand side that z is built from."""
     s = p.s_plus
     gn2 = np.trace(gsq, axis1=-2, axis2=-1)
     k = _coupling(p)
 
+    rhs = harmonic_rhs_array(q, gsq, s)
     x = poly_min(q, s) / p.L
     y = np.trace(x, axis1=-2, axis2=-1) + k * gn2
-    z = x + (
-        k * gn2[..., None, None] * (p.c2 * q + (p.b2 / 3.0) * I3)
-        + harmonic_rhs_array(q, gsq, s)
-    ) / p.b2
-    r = p.c2 * y[..., None, None] * q + (p.b2 / 3.0) * y[..., None, None] * I3 \
-        - p.b2 * z
-    return y, z, r
+    z = x + (k * gn2[..., None, None] * (p.c2 * q + (p.b2 / 3.0) * I3) + rhs) / p.b2
+    return y, z, rhs
+
+
+def _remainder(q, y, z, p: MaterialParams) -> np.ndarray:
+    """The rewritten equation's remainder r = c2 y Q + (b2/3) y I - b2 z."""
+    y = y[..., None, None]
+    return p.c2 * y * q + (p.b2 / 3.0) * y * I3 - p.b2 * z
 
 
 def rewritten_identity_residual(q_l: TensorField, p: MaterialParams) -> np.ndarray:
     """Nodewise norm of lap(Q) - harmonic RHS - remainder with both sides
-    built from the same edge-based squared gradient.
+    built from the same edge-based squared gradient and harmonic RHS.
 
     Algebraically this collapses to the discrete Euler-Lagrange residual, so
     it is bounded by the solver's reported el_residual up to rounding.
@@ -120,20 +133,23 @@ def rewritten_identity_residual(q_l: TensorField, p: MaterialParams) -> np.ndarr
     for lo, hi in plane_slabs(q_l.grid):
         v = q_l.values[lo:hi + 2]
         q, gsq = v[_IN, _IN, _IN], edge_grad_squared(v, h)
-        rhs = harmonic_rhs_array(q, gsq, p.s_plus)
-        out[lo:hi] = norm(laplacian_array(v, h) - rhs - _diagnostics(q, gsq, p)[2])
+        y, z, rhs = _diagnostics(q, gsq, p)
+        out[lo:hi] = norm(laplacian_array(v, h) - rhs - _remainder(q, y, z, p))
     return out
 
 
 def corrector_a(q_star: TensorField, p: MaterialParams) -> np.ndarray:
     """Closed-form normal part of the first-order corrector, from the limit
-    field alone (finite-difference gradients), at interior nodes."""
+    field alone (finite-difference gradients), at interior nodes.  Each slab
+    checks the lattice planes it adds (the first slab all of its own), so
+    the first slab (halo included) off the manifold raises NotOnManifold
+    naming the "limit field", with the worst residual of those planes."""
     s = p.s_plus
-    require_on_manifold(q_star.values, s, "limit field")
     k = _coupling(p)
     out = np.empty(q_star.interior.shape)
     for lo, hi in plane_slabs(q_star.grid):
         v = q_star.values[lo:hi + 2]
+        require_on_manifold(v[2:] if lo else v, s, "limit field")
         q = v[_IN, _IN, _IN]
         gsq = grad_squared(gradient_array(v, q_star.grid.h))
         gn2 = np.trace(gsq, axis1=-2, axis2=-1)[..., None, None]
@@ -208,10 +224,12 @@ def projection_residual(
     shifted inversion matrix (beta fixes its top eigendirection; the result
     is beta-independent), and evaluates the stated equation.
 
-    Runs over fields.plane_slabs.  The first slab holding a failing node
-    raises: DegenerateSpectrum when a node of it (halo included) fails the
-    eigen-gap test, else IllConditionedT naming a failing node in
-    interior-node indices.
+    Runs over fields.plane_slabs.  Each lattice plane's eigenframe, Q_sharp
+    and K are computed once: a slab reuses the previous slab's last two
+    planes and computes the rest.  The first slab holding a failing node
+    raises: DegenerateSpectrum when a plane it adds fails the eigen-gap
+    test, else IllConditionedT naming a failing node in interior-node
+    indices.
     """
     s = p.s_plus
     if beta is None:
@@ -219,23 +237,24 @@ def projection_residual(
     if beta == 0.0:
         raise ValueError("beta must be nonzero")
     out = np.empty(q_l.grid.dims)
+    frames = ()
     for lo, hi in plane_slabs(q_l.grid):
-        _slab_residual(
-            q_l.values[lo:hi + 2], q_l.grid.h, p, beta, lo, out[lo:hi]
-        )
+        values = q_l.values[lo:hi + 2]
+        if frames:  # the previous slab's last two planes are this slab's first
+            frames = tuple(
+                np.concatenate([a[-2:], b])
+                for a, b in zip(frames, _plane_frames(values[2:], p))
+            )
+        else:
+            frames = _plane_frames(values, p)
+        _slab_residual(values, frames, q_l.grid.h, p, beta, lo, out[lo:hi])
     return out
 
 
-def _slab_residual(
-    values: np.ndarray, h: np.ndarray, p: MaterialParams, beta: float,
-    offset: int, out: np.ndarray,
-) -> None:
-    """projection_residual of the lattice slab values (its first and last
-    planes are halo) into out; offset is the slab's first interior plane.
-
-    Every matrix inverted here shares Q_L's eigenvectors, so the
-    projection's one eigendecomposition serves them all.
-    """
+def _plane_frames(values: np.ndarray, p: MaterialParams) -> tuple:
+    """Per lattice node of values: Q_L's descending eigenvalues w_l and
+    eigenvectors v (projection_frame), the projection Q_sharp and
+    K = Q_sharp^{-1} Q_L."""
     s = p.s_plus
     w_l, v = projection_frame(values, p)
     n = v[..., :, 0]
@@ -246,7 +265,22 @@ def _slab_residual(
     k_field = -(3.0 / s) * values + (9.0 / (2.0 * s)) * (
         w_l[..., 0, None, None] * outer(n, n)
     )
+    return w_l, v, q_sharp, k_field
 
+
+def _slab_residual(
+    values: np.ndarray, frames: tuple, h: np.ndarray, p: MaterialParams,
+    beta: float, offset: int, out: np.ndarray,
+) -> None:
+    """projection_residual of the lattice slab values (its first and last
+    planes are halo), with their _plane_frames, into out; offset is the
+    slab's first interior plane.
+
+    Every matrix inverted here shares Q_L's eigenvectors, so the
+    projection's one eigendecomposition serves them all.
+    """
+    s = p.s_plus
+    w_l, v, q_sharp, k_field = frames
     lap_qs = laplacian_array(q_sharp, h)
     grads_qs = gradient_array(q_sharp, h)
     grads_k = gradient_array(k_field, h)
@@ -267,9 +301,11 @@ def _slab_residual(
     tr_k = np.trace(k_in, axis1=-2, axis2=-1)
     lam = w_l[_IN, _IN, _IN] - ((2.0 / 9.0) * s * tr_k)[..., None]
     lam[..., 0] += beta
-    abs_lam = np.abs(lam)
+    # elementwise over the columns: a size-3 axis reduction is far slower
+    a0, a1, a2 = np.abs(np.moveaxis(lam, -1, 0))
     with np.errstate(divide="ignore", invalid="ignore"):
-        cond = np.max(abs_lam, axis=-1) / np.min(abs_lam, axis=-1)
+        cond = np.maximum(np.maximum(a0, a1), a2)
+        cond /= np.minimum(np.minimum(a0, a1), a2)
     if not np.all(cond <= _COND_LIMIT):  # also catches NaN
         idx = np.unravel_index(int(np.argmax(cond)), cond.shape)
         node = (offset + int(idx[0]), int(idx[1]), int(idx[2]))

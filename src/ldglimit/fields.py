@@ -303,11 +303,11 @@ def interior_margin_mask(grid: GridSpec, margin: float) -> np.ndarray:
     widths = [hi - lo for lo, hi in grid.box]
     if margin < 0 or margin >= min(widths) / 2.0:
         raise ValueError("margin must lie in [0, half box width)")
-    coords = grid.coords()[_IN, _IN, _IN]
-    mask = np.ones(coords.shape[:3], dtype=bool)
+    mask = np.ones(grid.dims, dtype=bool)
     for axis, (lo, hi) in enumerate(grid.box):
-        x = coords[..., axis]
-        mask &= (x - lo >= margin - 1e-12) & (hi - x >= margin - 1e-12)
+        x = grid.axis_coords(axis)[_IN]
+        keep = (x - lo >= margin - 1e-12) & (hi - x >= margin - 1e-12)
+        mask &= keep.reshape([-1 if a == axis else 1 for a in range(3)])
     if not mask.any():
         raise ValueError(f"margin {margin:g} leaves no interior node")
     return mask

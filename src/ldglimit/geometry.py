@@ -51,9 +51,13 @@ class MaterialParams:
 
 
 def uniaxial(director: np.ndarray, s_plus: float) -> np.ndarray:
-    """s_+ (n (x) n - I/3) for unit director(s) n of shape (..., 3)."""
+    """s_+ (n (x) n - I/3) for unit director(s) n of shape (..., 3), built
+    in place: one field-sized array, the bits of the expression."""
     n = np.asarray(director, dtype=float)
-    return s_plus * (outer(n, n) - I3 / 3.0)
+    q = outer(n, n)
+    q -= I3 / 3.0
+    q *= s_plus
+    return q
 
 
 def require_on_manifold(q: np.ndarray, s_plus: float, what: str) -> None:

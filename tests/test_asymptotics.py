@@ -403,6 +403,69 @@ def test_projection_residual_slab_memory(monkeypatch):
     assert peaks[0] < peaks[1] / 3
 
 
+@pytest.mark.parametrize("block", [1, 2 * 6 * 5, 10**9])
+def test_projection_residual_frames_each_lattice_node_once(monkeypatch, block):
+    """Whatever the slab size, every lattice node of SLAB_GRID goes through
+    projection_frame exactly once: a slab reuses its halo planes' frames."""
+    p = make_params()
+    rows = []
+    original = asymptotics.projection_frame
+
+    def counted(q, params):
+        rows.append(q.size // 9)
+        return original(q, params)
+
+    monkeypatch.setattr(asymptotics, "projection_frame", counted)
+    monkeypatch.setattr(fields, "SLAB_NODES", block)
+    projection_residual(slab_test_field(p), p)
+    assert sum(rows) == np.prod(SLAB_GRID.shape)
+
+
+@pytest.mark.parametrize("block", [1, 2 * 6 * 5, 10**9])
+def test_rewritten_residual_one_harmonic_rhs_per_slab(monkeypatch, block):
+    """The remainder reuses the slab's harmonic right-hand side."""
+    p = make_params()
+    calls = []
+    original = asymptotics.harmonic_rhs_array
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(asymptotics, "harmonic_rhs_array", counted)
+    monkeypatch.setattr(fields, "SLAB_NODES", block)
+    rewritten_identity_residual(slab_test_field(p), p)
+    assert len(calls) == len(list(fields.plane_slabs(SLAB_GRID)))
+
+
+def test_compute_xyz_retains_only_y_and_z():
+    """compute_xyz keeps y and z and derives r on access: the result holds
+    no third field-sized array."""
+    p = make_params()
+    q_l = slab_test_field(p)
+    tracemalloc.start()
+    try:
+        d = compute_xyz(q_l, p)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained <= d.y_field.nbytes + d.z_field.nbytes + 4096
+
+
+def test_corrector_a_checks_last_slab_halo(monkeypatch):
+    """With one-plane slabs, an off-manifold node in the last slab, in its
+    last interior plane or in the boundary plane it reads as halo, raises
+    NotOnManifold naming the limit field."""
+    p = make_params()
+    monkeypatch.setattr(fields, "SLAB_NODES", 1)
+    for plane in (-2, -1):
+        f = boundary_near_constant(SLAB_GRID, p, 0.3)
+        off = 0.1 * p.s_plus * qtensor(np.diag([1.0, 0.0, -1.0]))
+        f.values[plane, 3, 2] += off
+        with pytest.raises(NotOnManifold, match="limit field"):
+            corrector_a(f, p)
+
+
 def test_field_diagnostics_slabs_are_bit_identical(monkeypatch):
     """compute_xyz, rewritten_identity_residual, corrector_a and
     empirical_corrector give the bits of a single slab with one plane per

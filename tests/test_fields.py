@@ -220,6 +220,21 @@ def test_interior_margin_mask():
     # below half the width (3.5) but past every node (1..6)
     with pytest.raises(ValueError, match="no interior node"):
         interior_margin_mask(grid, 3.4)
+    # a non-cubic grid, with margins just inside and just outside the 1e-12
+    # slack at the first node of the shortest axis: the mask is the one the
+    # node coordinates define
+    grid = small_grid()
+    x = grid.coords()[_IN, _IN, _IN]
+    edge = float(grid.axis_coords(2)[1])
+    masks = []
+    for margin in (edge + 0.5e-12, edge + 2e-12, 0.3):
+        expected = np.ones(grid.dims, dtype=bool)
+        for axis, (lo, hi) in enumerate(grid.box):
+            c = x[..., axis]
+            expected &= (c - lo >= margin - 1e-12) & (hi - c >= margin - 1e-12)
+        masks.append(interior_margin_mask(grid, margin))
+        assert np.array_equal(masks[-1], expected)
+    assert np.count_nonzero(masks[0]) > np.count_nonzero(masks[1]) > 0
 
 
 def test_norms_hand_example(rng):

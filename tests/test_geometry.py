@@ -2,6 +2,8 @@
 and the equivalent harmonic right-hand sides, each against an independent
 oracle or its definition."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,23 @@ def test_uniaxial_spectrum_and_membership(rng, unit_params):
     expected = np.array([-s / 3.0, -s / 3.0, 2.0 * s / 3.0])
     assert np.max(np.abs(w - expected)) < 1e-12
     assert np.max(norm(poly_min(q, s))) < 1e-12
+
+
+def test_uniaxial_bits_and_one_array(rng, unit_params):
+    """uniaxial has the bits of s (n n^T - I/3) on random directors and
+    builds them in place: its traced peak stays below one and a half
+    results (a product of temporaries reaches two)."""
+    s = unit_params.s_plus
+    n = random_directors(rng, 20000)
+    nn = n[:, :, None] * n[:, None, :]
+    tracemalloc.start()
+    try:
+        q = uniaxial(n, s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(q, s * (nn - I3 / 3.0))
+    assert peak < 1.5 * q.nbytes
 
 
 def test_projection_recovers_manifold_points(rng, unit_params):

@@ -94,6 +94,7 @@ def test_every_public_definition_has_a_caller():
         "fields.GridSpec.axis_coords",
         "runner.SweepReport.fields_by_l",
         "asymptotics.DiagnosticFields.y_field",
+        "asymptotics.DiagnosticFields.r_field",
         "solvers.SolveResult.backtracks",
     } <= set(defined)
     referenced = set().union(*(_references(path) for path in CALLERS))
