@@ -225,11 +225,11 @@ def projection_residual(
     is beta-independent), and evaluates the stated equation.
 
     Runs over fields.plane_slabs.  Each lattice plane's eigenframe, Q_sharp
-    and K are computed once: a slab reuses the previous slab's last two
-    planes and computes the rest.  The first slab holding a failing node
-    raises: DegenerateSpectrum when a plane it adds fails the eigen-gap
-    test, else IllConditionedT naming a failing node in interior-node
-    indices.
+    and K are computed once: a slab shifts the previous slab's last two
+    planes to the front of the first slab's buffers and computes the rest
+    into them.  The first slab holding a failing node raises:
+    DegenerateSpectrum when a plane it adds fails the eigen-gap test, else
+    IllConditionedT naming a failing node in interior-node indices.
     """
     s = p.s_plus
     if beta is None:
@@ -237,16 +237,17 @@ def projection_residual(
     if beta == 0.0:
         raise ValueError("beta must be nonzero")
     out = np.empty(q_l.grid.dims)
-    frames = ()
+    buffers = None  # the first slab's frames, the largest, reused by the rest
     for lo, hi in plane_slabs(q_l.grid):
         values = q_l.values[lo:hi + 2]
-        if frames:  # the previous slab's last two planes are this slab's first
-            frames = tuple(
-                np.concatenate([a[-2:], b])
-                for a, b in zip(frames, _plane_frames(values[2:], p))
-            )
-        else:
-            frames = _plane_frames(values, p)
+        if buffers is None:
+            frames = buffers = _plane_frames(values, p)
+        else:  # the previous slab's last two planes are this slab's first
+            carried = len(frames[0]) - 2
+            for b, new in zip(buffers, _plane_frames(values[2:], p)):
+                b[:2] = b[carried:carried + 2]
+                b[2:len(values)] = new
+            frames = tuple(b[:len(values)] for b in buffers)
         _slab_residual(values, frames, q_l.grid.h, p, beta, lo, out[lo:hi])
     return out
 

@@ -26,6 +26,7 @@ from .fields import (
     dirichlet_energy,
     bulk_energy,
     laplacian_array,
+    laplacian_eigenvalues,
     poisson_dirichlet,
 )
 from .geometry import (
@@ -91,18 +92,6 @@ def _emit(log, cfg: SolveConfig, i: int, e: float, res: float, dt: float) -> Non
         log(f"iter={i} energy={e:.17g} residual={res:.6e} dt={dt:.6e}")
 
 
-def _bb_short(s: np.ndarray, y: np.ndarray):
-    """Short Barzilai-Borwein step <s,y>/<y,y>, or None when <s,y> <= 0.
-
-    The LdG flow's step rule.  By Cauchy-Schwarz it is at most the long
-    step <s,s>/<s,y>, which under the stiff 1/L bulk term overshoots on
-    about every second trial.  Pairwise numpy sums keep it independent of
-    the BLAS thread count.
-    """
-    sy = float(np.sum(s * y))
-    return sy / float(np.sum(y * y)) if sy > 0.0 else None
-
-
 def _monotone_flow(
     init: TensorField, cfg: SolveConfig, dt0: float, objective, direction,
     retract, step, failure: str, log,
@@ -114,11 +103,12 @@ def _monotone_flow(
     interior nodes; a step retracts interior + dt * velocity and is accepted
     only if the objective does not increase.  A retraction that raises
     DegenerateSpectrum rejects the trial step like an increase.  After the
-    first step (dt0) the trial step is step(s, y), the solver's
+    first step (dt0) the trial step is step(s, y, w), the solver's
     Barzilai-Borwein rule (s the interior change, y the change of minus the
-    L2 residual; the short step for LdG, the long one in the metric -lap
-    for the harmonic flow), or 2 * dt when the rule returns None
-    (<s,y> <= 0), capped at _DT_CAP * dt0.
+    L2 residual, w minus the change of the velocity; the short step in the
+    metric -lap + sigma for LdG, the long one in the metric -lap for the
+    harmonic flow), or 2 * dt when the rule returns None (<s,y> <= 0),
+    capped at _DT_CAP * dt0.
 
     Stops on the residual, or on the second full trial step since the last
     larger decrement that decreases the energy by at most rel_energy_tol
@@ -138,7 +128,7 @@ def _monotone_flow(
     if not np.isfinite(e):
         raise LdglimitError(f"starting energy is not finite ({e})")
     history = [e]
-    prev = None  # (interior, L2 residual) of the previous iterate
+    prev = None  # (interior, L2 residual, velocity) of the previous iterate
     stop = "max_iters"
     backtracks = 0
     small = False  # the last accepted step decreased the energy by <= tol
@@ -151,9 +141,9 @@ def _monotone_flow(
             iterations -= 1
             break
         if prev is not None:
-            bb = step(f.interior - prev[0], prev[1] - grad)
+            bb = step(f.interior - prev[0], prev[1] - grad, prev[2] - vel)
             dt = min(dt_max, 2.0 * dt if bb is None else bb)
-        prev = (f.interior, grad)
+        prev = (f.interior, grad, vel)
         shortened = False
         while True:
             try:
@@ -208,7 +198,8 @@ def _monotone_flow(
 
 def _ldg_velocity(c: TensorField, p: MaterialParams) -> np.ndarray:
     """lap(Q) - (bulk gradient) / L at the interior nodes of an S0-coordinate
-    field: minus the L2 gradient of the energy / L per cell volume."""
+    field: the L2 residual (minus the L2 gradient of the energy / L per
+    cell volume) that solve_ldg preconditions."""
     return laplacian_array(c.values, c.grid.h) - grad_f_bulk_s0(c.interior, p) / p.L
 
 
@@ -257,16 +248,21 @@ def _start_relative_energy(start: TensorField, p: MaterialParams):
 def solve_ldg(
     init: TensorField, p: MaterialParams, cfg: SolveConfig, log=None
 ) -> SolveResult:
-    """Explicit monotone gradient flow of the shifted energy divided by L.
+    """Explicit monotone gradient flow of the shifted energy divided by L,
+    in the metric P = -lap + sigma.
 
     The flow runs on the S0 coordinates of the field (tensor_algebra.to_s0),
     so a step needs no re-projection, and measures every trial's energy as
     E(start) + _start_relative_energy, E(start) evaluated once on the
-    matrix start.  Its trial steps are short Barzilai-Borwein steps
-    (_bb_short): the long step overshoots under the stiff 1/L bulk term,
-    and the line search rejected about half of its trials.  Stationary
-    points satisfy the discrete Euler-Lagrange equation
-    L * lap(Q) = bulk gradient.  The recorded energy sequence is
+    matrix start.  The velocity is P^{-1} g, g = lap(Q) - (bulk gradient) / L
+    the L2 residual, and sigma = sqrt(lam_b lam_u) / L, lam_b = b2 s_+ and
+    lam_u = 2 a2 + b2 s_+ / 3 the bulk Hessian's biaxial and uniaxial
+    stiffnesses normal to the manifold.  Trial steps are short
+    Barzilai-Borwein steps in the metric P (the long step overshoots under
+    the stiff 1/L bulk term); the first is dt_safety min(1, (k_min^2 +
+    sigma) L / bulk_lipschitz_bound), k_min^2 the lowest eigenvalue of -lap.
+    Stationary points satisfy the discrete Euler-Lagrange equation
+    L * lap(Q) = bulk gradient; the stop reads max |g|.  The energy is
     non-increasing on accepted steps by construction.  The returned field is
     init with the solved interior (init itself when no step moved it), and
     el_residual is the residual of that field.
@@ -274,8 +270,12 @@ def solve_ldg(
     require_on_manifold(init.values[init.boundary_mask()], p.s_plus,
                         "boundary data")
     h = init.grid.h
+    sb = p.b2 * p.s_plus
+    sigma = float(np.sqrt(sb * (2.0 * p.a2 + sb / 3.0))) / p.L
+    k_min2 = sum(laplacian_eigenvalues(n, step)[0]
+                 for n, step in zip(init.grid.dims, h))
     dt0 = cfg.dt_safety * min(
-        float(np.min(h)) ** 2 / 6.0, p.L / bulk_lipschitz_bound(p)
+        1.0, (k_min2 + sigma) * p.L / bulk_lipschitz_bound(p)
     )
     start = TensorField(init.grid, to_s0(init.values))
     # shifted energy / L, per unit cell volume kept implicit
@@ -283,15 +283,22 @@ def solve_ldg(
     increment = _start_relative_energy(start, p)
 
     def direction(fld: TensorField):
-        vel = _ldg_velocity(fld, p)
-        return vel, vel, float(np.sqrt(np.max(dot_s0(vel, vel))))
+        g = _ldg_velocity(fld, p)
+        v = poisson_dirichlet(g, h, sigma)
+        return v, g, float(np.sqrt(np.max(dot_s0(g, g))))
+
+    def bb_short(d: np.ndarray, y: np.ndarray, w: np.ndarray):
+        """Short BB step <d,y>/<w,y> in the metric P, or None if <d,y> <= 0;
+        pairwise numpy sums keep it independent of the BLAS thread count."""
+        dy = float(np.sum(d * y))
+        return dy / float(np.sum(w * y)) if dy > 0.0 else None
 
     res = _monotone_flow(
         start, cfg, dt0,
         objective=lambda fld: e0 + increment(fld),
         direction=direction,
         retract=lambda c: c,  # every coordinate vector is in S0
-        step=_bb_short,
+        step=bb_short,
         failure="time step underflow; bulk term too stiff for this grid",
         log=log,
     )
@@ -330,9 +337,9 @@ def solve_harmonic(
         v = poisson_dirichlet(g, h)
         return v - normal_component(v, q, s), g, float(np.max(norm(g)))
 
-    def bb_long(d: np.ndarray, y: np.ndarray):
+    def bb_long(d: np.ndarray, y: np.ndarray, _w: np.ndarray):
         """Long Barzilai-Borwein step <d,-lap d>/<d,y>, or None when
-        <d,y> <= 0; pairwise numpy sums as in _bb_short."""
+        <d,y> <= 0; pairwise numpy sums as in solve_ldg."""
         dy = float(np.sum(d * y))
         lap = laplacian_array(np.pad(d, pad), h)
         return float(np.sum(d * -lap)) / dy if dy > 0.0 else None

@@ -204,6 +204,30 @@ def test_default_sweep_rungs_meet_residual(sweep_report):
     assert star.el_residual <= sweep_report.config.residual_tol
 
 
+def test_default_sweep_ladder_iteration_counts(sweep_report):
+    """The LdG flow in the metric -lap + sigma solves the default ladder in
+    at most 70 iterations (63 measured; the L2 flow took 58/23/14/12 = 107)
+    and at least one rung stops on its residual (every L2 rung stopped on
+    "energy").  Counts do not depend on the machine."""
+    results = sweep_report.results_by_l.values()
+    assert sum(res.iterations for res in results) <= 70
+    assert any(res.stop_reason == "residual" for res in results)
+
+
+def test_hedgehog_ladder_reaches_the_same_states_in_fewer_iterations():
+    """The 12^3 hedgehog ladder on [-1, 1]^3 with margin 0 ends every rung
+    at the stationary state the L2 flow reached (its energies to 1e-9) in
+    at most 80 iterations (65 measured; the L2 flow took 43/44/34/34)."""
+    cfg = tiny_config(boundary="hedgehog", dims=(12, 12, 12), box_lo=-1.0,
+                      box_hi=1.0, l_ladder=(0.16, 0.08, 0.04, 0.02),
+                      max_iters=50000)
+    results = list(run_sweep(cfg, write=False).results_by_l.values())
+    energies = [31.8178178895, 36.9250099500, 43.2321638927, 49.1571548134]
+    for res, e in zip(results, energies, strict=True):
+        assert res.final_energy == pytest.approx(e, rel=1e-9)
+    assert sum(res.iterations for res in results) <= 80
+
+
 def test_run_sweep_passes_log_every_to_every_solve():
     """The config's log_every reaches the limit solve and every rung: the
     sweep log holds one iter= line per log_every accepted steps of each."""
