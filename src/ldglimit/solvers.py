@@ -33,7 +33,9 @@ from .geometry import (
     MaterialParams,
     normal_component,
     project_array,
+    projection_frame,
     require_on_manifold,
+    tangent_basis_s0,
 )
 from .tensor_algebra import (
     dev_square_s0,
@@ -105,9 +107,9 @@ def _monotone_flow(
     DegenerateSpectrum rejects the trial step like an increase.  After the
     first step (dt0) the trial step is step(s, y, w), the solver's
     Barzilai-Borwein rule (s the interior change, y the change of minus the
-    L2 residual, w minus the change of the velocity; the short step in the
-    metric -lap + sigma for LdG, the long one in the metric -lap for the
-    harmonic flow), or 2 * dt when the rule returns None (<s,y> <= 0),
+    L2 residual, w minus the change of the velocity; the short step in
+    solve_ldg's metric, the long one in the metric -lap for the harmonic
+    flow), or 2 * dt when the rule returns None (<s,y> <= 0),
     capped at _DT_CAP * dt0.
 
     Stops on the residual, or on the second full trial step since the last
@@ -115,6 +117,10 @@ def _monotone_flow(
     (relative).  One such step is also what a non-monotone BB step gives far
     from a stationary point, and a step the line search shortened may
     decrease little for that reason alone, so it neither counts nor resets.
+    A shortened step that leaves the energy unchanged is counted apart: the
+    second since the last larger decrement stops on "energy" too, since the
+    next BB step starts large again and the line search would never reach
+    the floor.
     A line search that reaches _DT_FLOOR stops on "energy" with the last
     accepted field when the energy no longer resolves the flow: right after
     a small decrement, or when the last trial's increase is at most
@@ -133,6 +139,7 @@ def _monotone_flow(
     backtracks = 0
     small = False  # the last accepted step decreased the energy by <= tol
     strike = False  # a full trial step did so since the last larger decrement
+    flat = False  # a shortened step left the energy unchanged since then
 
     for iterations in range(1, cfg.max_iters + 1):
         vel, grad, residual = direction(f)
@@ -175,12 +182,17 @@ def _monotone_flow(
         _emit(log, cfg, iterations, e, residual, dt)
         small = decrement <= cfg.rel_energy_tol * max(abs(e), 1e-300)
         if not small:
-            strike = False
+            strike = flat = False
         elif not shortened:
             if strike:
                 stop = "energy"
                 break
             strike = True
+        elif decrement == 0.0:
+            if flat:
+                stop = "energy"
+                break
+            flat = True
 
     if stop != "residual":
         _, _, residual = direction(f)
@@ -200,7 +212,44 @@ def _ldg_velocity(c: TensorField, p: MaterialParams) -> np.ndarray:
     """lap(Q) - (bulk gradient) / L at the interior nodes of an S0-coordinate
     field: the L2 residual (minus the L2 gradient of the energy / L per
     cell volume) that solve_ldg preconditions."""
-    return laplacian_array(c.values, c.grid.h) - grad_f_bulk_s0(c.interior, p) / p.L
+    g = laplacian_array(c.values, c.grid.h)
+    g -= grad_f_bulk_s0(c.interior, p) / p.L
+    return g
+
+
+def _metric_inverse(init: TensorField, p: MaterialParams, sigma: float):
+    """g -> P^{-1} g for solve_ldg's metric at the start field init, on
+    interior-node arrays of S0 coordinates: P^{-1} = Pi_T (-lap)^{-1} Pi_T
+    + Pi_N (-lap + sigma)^{-1} Pi_N, Pi_T x = <x, t1> t1 + <x, t2> t2
+    nodewise with t1, t2 the unit tangent pair (tangent_basis_s0) at init's
+    interior directors and Pi_N = I - Pi_T.  The two are complementary
+    orthogonal projections, so P^{-1} is symmetric positive definite.  The
+    map is (-lap + sigma)^{-1} when some interior node fails
+    projection_frame's eigen-gap test (a defect core).  Only t1 and t2 are
+    kept, stored as planes (s0_planes).
+    """
+    h = init.grid.h
+    try:
+        n = projection_frame(init.interior, p)[1][..., :, 0]
+    except DegenerateSpectrum:
+        return lambda g: poisson_dirichlet(g, h, sigma)
+    t1, t2 = (s0_planes(t) for t in tangent_basis_s0(n))
+
+    def tangential(x: np.ndarray) -> np.ndarray:
+        out = dot_s0(x, t1)[..., None] * t1
+        out += dot_s0(x, t2)[..., None] * t2
+        return out
+
+    def inverse(g: np.ndarray) -> np.ndarray:
+        # w + Pi_T(u - w), w = (-lap + sigma)^{-1} Pi_N g, u = (-lap)^{-1} Pi_T g
+        u = tangential(g)
+        w = poisson_dirichlet(g - u, h, sigma)
+        u = poisson_dirichlet(u, h)
+        u -= w
+        w += tangential(u)
+        return w
+
+    return inverse
 
 
 def _start_relative_energy(start: TensorField, p: MaterialParams):
@@ -249,18 +298,30 @@ def solve_ldg(
     init: TensorField, p: MaterialParams, cfg: SolveConfig, log=None
 ) -> SolveResult:
     """Explicit monotone gradient flow of the shifted energy divided by L,
-    in the metric P = -lap + sigma.
+    in a metric P split along the manifold's normal and tangent directions
+    at the start.
 
     The flow runs on the S0 coordinates of the field (tensor_algebra.to_s0),
     so a step needs no re-projection, and measures every trial's energy as
     E(start) + _start_relative_energy, E(start) evaluated once on the
     matrix start.  The velocity is P^{-1} g, g = lap(Q) - (bulk gradient) / L
-    the L2 residual, and sigma = sqrt(lam_b lam_u) / L, lam_b = b2 s_+ and
-    lam_u = 2 a2 + b2 s_+ / 3 the bulk Hessian's biaxial and uniaxial
-    stiffnesses normal to the manifold.  Trial steps are short
-    Barzilai-Borwein steps in the metric P (the long step overshoots under
-    the stiff 1/L bulk term); the first is dt_safety min(1, (k_min^2 +
-    sigma) L / bulk_lipschitz_bound), k_min^2 the lowest eigenvalue of -lap.
+    the L2 residual, with (_metric_inverse)
+
+        P^{-1} = Pi_T (-lap)^{-1} Pi_T + Pi_N (-lap + sigma)^{-1} Pi_N,
+
+    Pi_T the nodewise orthogonal projection onto the tangent space at the
+    start's director, Pi_N = I - Pi_T, and sigma = sqrt(lam_b lam_u) / L,
+    lam_b = b2 s_+ and lam_u = 2 a2 + b2 s_+ / 3 the bulk Hessian's biaxial
+    and uniaxial stiffnesses normal to the manifold.  The bulk Hessian adds
+    about sigma on normal directions and nothing on tangent ones (the
+    first-order term's algebraic normal part and linear tangential
+    system), so smooth tangential modes are not slowed down as they are by
+    -lap + sigma.  A start with a node that fails the projection's eigen-gap
+    test (a defect core) keeps P = -lap + sigma for the whole solve.  P is
+    fixed, so trial steps are short Barzilai-Borwein steps in it (the long
+    step overshoots under the stiff 1/L bulk term); the first is dt_safety
+    min(1, (k_min^2 + sigma) L / bulk_lipschitz_bound), k_min^2 the lowest
+    eigenvalue of -lap.
     Stationary points satisfy the discrete Euler-Lagrange equation
     L * lap(Q) = bulk gradient; the stop reads max |g|.  The energy is
     non-increasing on accepted steps by construction.  The returned field is
@@ -281,11 +342,11 @@ def solve_ldg(
     # shifted energy / L, per unit cell volume kept implicit
     e0 = 0.5 * dirichlet_energy(init) + bulk_energy(init, p) / p.L
     increment = _start_relative_energy(start, p)
+    metric_inverse = _metric_inverse(init, p, sigma)
 
     def direction(fld: TensorField):
         g = _ldg_velocity(fld, p)
-        v = poisson_dirichlet(g, h, sigma)
-        return v, g, float(np.sqrt(np.max(dot_s0(g, g))))
+        return metric_inverse(g), g, float(np.sqrt(np.max(dot_s0(g, g))))
 
     def bb_short(d: np.ndarray, y: np.ndarray, w: np.ndarray):
         """Short BB step <d,y>/<w,y> in the metric P, or None if <d,y> <= 0;

@@ -345,7 +345,8 @@ def test_benchmark_ldg_kernels_called_and_energy_evaluations_counted(
                 if value is original:
                     monkeypatch.setattr(mod, attr, counted)
 
-    cfg = tiny_config(dims=(8, 8, 8), box_hi=8.0, l_ladder=(0.16,),
+    # the cold L = 0.02 solve backtracks (8 of its 33 steps); L = 0.16 does not
+    cfg = tiny_config(dims=(8, 8, 8), box_hi=8.0, l_ladder=(0.02,),
                       output_dir=str(tmp_path))
     runner.run_solve(cfg, "solve-ldg")
     assert [name for name, n in calls.items() if n == 0] == []

@@ -22,9 +22,19 @@ from ldglimit.geometry import (
     second_fundamental_form,
     tangency_residual,
     tangent_basis,
+    tangent_basis_s0,
     uniaxial,
 )
-from ldglimit.tensor_algebra import I3, comm, frobenius, norm, poly_min, qtensor
+from ldglimit.tensor_algebra import (
+    I3,
+    comm,
+    dot_s0,
+    frobenius,
+    from_s0,
+    norm,
+    poly_min,
+    qtensor,
+)
 from conftest import random_directors
 
 E1, E2, E3 = np.eye(3)
@@ -196,6 +206,12 @@ def test_bases_are_orthogonal_frames(rng, unit_params):
             assert float(normality_residual(z, q)) < 1e-12
     # a batch of base points gives, point by point, the same frames
     n = random_directors(rng, 64)
+    # the S0 tangent pair is tangent_basis scaled to an orthonormal pair
+    c1, c2 = tangent_basis_s0(n)
+    for c, t in zip((c1, c2), tangent_basis(n)):
+        assert np.max(np.abs(np.sqrt(2.0) * from_s0(c) - t)) < 1e-15
+        assert np.max(np.abs(dot_s0(c, c) - 1.0)) < 1e-15
+    assert np.max(np.abs(dot_s0(c1, c2))) < 1e-15
     frames = tangent_basis(n) + normal_basis_s0(n)
     for i in range(len(n)):
         for fb, fs in zip(frames, tangent_basis(n[i]) + normal_basis_s0(n[i])):

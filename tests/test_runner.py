@@ -205,13 +205,14 @@ def test_default_sweep_rungs_meet_residual(sweep_report):
 
 
 def test_default_sweep_ladder_iteration_counts(sweep_report):
-    """The LdG flow in the metric -lap + sigma solves the default ladder in
-    at most 70 iterations (63 measured; the L2 flow took 58/23/14/12 = 107)
-    and at least one rung stops on its residual (every L2 rung stopped on
-    "energy").  Counts do not depend on the machine."""
+    """The LdG flow in the split metric solves the default ladder in at most
+    35 iterations (8/7/7/7 measured; the metric -lap + sigma took 24/17/14/8
+    and the L2 flow 58/23/14/12) and every rung stops on its residual (two
+    of the -lap + sigma rungs and every L2 rung stopped on "energy").
+    Counts do not depend on the machine."""
     results = sweep_report.results_by_l.values()
-    assert sum(res.iterations for res in results) <= 70
-    assert any(res.stop_reason == "residual" for res in results)
+    assert sum(res.iterations for res in results) <= 35
+    assert all(res.stop_reason == "residual" for res in results)
 
 
 def test_hedgehog_ladder_reaches_the_same_states_in_fewer_iterations():
