@@ -204,7 +204,7 @@ def tangent_basis_s0(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return tuple(to_s0(t) / np.sqrt(2.0) for t in tangent_basis(n))
 
 
-def normal_basis_s0(n: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def normal_basis(n: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Three traceless normal directions at the manifold point(s) with unit
     director(s) n, mutually Frobenius-orthogonal."""
     u, v = (np.stack(c, axis=-1) for c in complete_frame(np.moveaxis(n, -1, 0)))

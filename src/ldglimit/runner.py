@@ -40,7 +40,7 @@ from .geometry import (
     check_identities,
     grad_squared,
     harmonic_rhs_array,
-    normal_basis_s0,
+    normal_basis,
     normal_component,
     normality_residual,
     project_array,
@@ -61,7 +61,7 @@ def _identity_residuals(n, cx, cy, cz, p: MaterialParams):
     s = p.s_plus
     q = uniaxial(n, s)
     t1, t2 = tangent_basis(n)
-    z1, z2, z3 = normal_basis_s0(n)
+    z1, z2, z3 = normal_basis(n)
     x = cx[:, 0] * t1 + cx[:, 1] * t2
     y = cy[:, 0] * t1 + cy[:, 1] * t2
     z = cz[:, 0] * z1 + cz[:, 1] * z2 + cz[:, 2] * z3

@@ -3,10 +3,11 @@ bulk energy over unconstrained traceless fields (in S0 coordinates), and
 projected H1 gradient flow for the Dirichlet energy over manifold-valued
 fields.
 
-Both solvers run one shared loop that freezes the boundary layer, proposes
-Barzilai-Borwein steps by the solver's own rule, enforces energy
-monotonicity by a halve-on-increase line search, and reports the discrete
-Euler-Lagrange residual in max norm.
+Both solvers run one shared loop that freezes the boundary layer, takes
+short Barzilai-Borwein steps in the solver's own metric (first step
+dt_safety: in both metrics the linearized flow has unit rate), enforces
+energy monotonicity by a halve-on-increase line search, and reports the
+discrete Euler-Lagrange residual in max norm.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .fields import (
     dirichlet_energy,
     bulk_energy,
     laplacian_array,
-    laplacian_eigenvalues,
     poisson_dirichlet,
 )
 from .geometry import (
@@ -47,7 +47,7 @@ from .tensor_algebra import (
 )
 
 _DT_FLOOR = 1e-12
-_DT_CAP = 1000.0  # largest proposed step, in units of the first step dt0
+_DT_CAP = 1000.0  # largest proposed step, in units of the first step dt_safety
 # relative energy change that rounding alone can make (half the digits)
 _ROUNDING = float(np.sqrt(np.finfo(float).eps))
 
@@ -83,34 +83,29 @@ class SolveResult:
     backtracks: int = 0  # rejected trial steps, each halving dt
 
 
-def bulk_lipschitz_bound(p: MaterialParams) -> float:
-    """Lipschitz bound for the bulk gradient on the ball |Q| <= sqrt(2/3)s + 0.1."""
-    r = np.sqrt(2.0 / 3.0) * p.s_plus + 0.1
-    return float(p.a2 + 3.0 * p.b2 * r + 3.0 * p.c2 * r**2)
-
-
 def _emit(log, cfg: SolveConfig, i: int, e: float, res: float, dt: float) -> None:
     if log is not None and cfg.log_every > 0 and i % cfg.log_every == 0:
         log(f"iter={i} energy={e:.17g} residual={res:.6e} dt={dt:.6e}")
 
 
 def _monotone_flow(
-    init: TensorField, cfg: SolveConfig, dt0: float, objective, direction,
-    retract, step, failure: str, log,
+    init: TensorField, cfg: SolveConfig, objective, direction, retract,
+    failure: str, log,
 ) -> SolveResult:
-    """Explicit flow with Barzilai-Borwein steps and halve-on-increase line
-    search.
+    """Explicit flow with short Barzilai-Borwein steps and halve-on-increase
+    line search.
 
     direction(f) returns (velocity, L2 residual, max-norm residual) at the
-    interior nodes; a step retracts interior + dt * velocity and is accepted
-    only if the objective does not increase.  A retraction that raises
-    DegenerateSpectrum rejects the trial step like an increase.  After the
-    first step (dt0) the trial step is step(s, y, w), the solver's
-    Barzilai-Borwein rule (s the interior change, y the change of minus the
-    L2 residual, w minus the change of the velocity; the short step in
-    solve_ldg's metric, the long one in the metric -lap for the harmonic
-    flow), or 2 * dt when the rule returns None (<s,y> <= 0),
-    capped at _DT_CAP * dt0.
+    interior nodes, the velocity being the L2 residual preconditioned by the
+    solver's metric; a step retracts interior + dt * velocity and is
+    accepted only if the objective does not increase.  A retraction that
+    raises DegenerateSpectrum rejects the trial step like an increase.  The
+    first trial step is dt_safety; after it the trial step is the short
+    Barzilai-Borwein step <s,y>/<w,y> in the metric (s the interior change,
+    y the change of minus the L2 residual, w minus the change of the
+    velocity; pairwise numpy sums keep it independent of the BLAS thread
+    count), or 2 * dt when <s,y> <= 0 (or <w,y> <= 0, which the projected
+    flow's moving tangent spaces allow), capped at _DT_CAP * dt_safety.
 
     Stops on the residual, or on the second full trial step since the last
     larger decrement that decreases the energy by at most rel_energy_tol
@@ -128,8 +123,8 @@ def _monotone_flow(
     is the residual of the returned field.
     """
     f = init.copy()
-    dt = dt0
-    dt_max = _DT_CAP * dt0
+    dt = cfg.dt_safety
+    dt_max = _DT_CAP * cfg.dt_safety
     e = objective(f)
     if not np.isfinite(e):
         raise LdglimitError(f"starting energy is not finite ({e})")
@@ -148,8 +143,10 @@ def _monotone_flow(
             iterations -= 1
             break
         if prev is not None:
-            bb = step(f.interior - prev[0], prev[1] - grad, prev[2] - vel)
-            dt = min(dt_max, 2.0 * dt if bb is None else bb)
+            y = prev[1] - grad
+            sy = float(np.sum((f.interior - prev[0]) * y))
+            wy = float(np.sum((prev[2] - vel) * y))
+            dt = min(dt_max, sy / wy if sy > 0.0 and wy > 0.0 else 2.0 * dt)
         prev = (f.interior, grad, vel)
         shortened = False
         while True:
@@ -318,10 +315,8 @@ def solve_ldg(
     system), so smooth tangential modes are not slowed down as they are by
     -lap + sigma.  A start with a node that fails the projection's eigen-gap
     test (a defect core) keeps P = -lap + sigma for the whole solve.  P is
-    fixed, so trial steps are short Barzilai-Borwein steps in it (the long
-    step overshoots under the stiff 1/L bulk term); the first is dt_safety
-    min(1, (k_min^2 + sigma) L / bulk_lipschitz_bound), k_min^2 the lowest
-    eigenvalue of -lap.
+    fixed, so _monotone_flow's short Barzilai-Borwein steps are steps in it;
+    in P the linearized flow has about unit rate, so the first is dt_safety.
     Stationary points satisfy the discrete Euler-Lagrange equation
     L * lap(Q) = bulk gradient; the stop reads max |g|.  The energy is
     non-increasing on accepted steps by construction.  The returned field is
@@ -333,11 +328,6 @@ def solve_ldg(
     h = init.grid.h
     sb = p.b2 * p.s_plus
     sigma = float(np.sqrt(sb * (2.0 * p.a2 + sb / 3.0))) / p.L
-    k_min2 = sum(laplacian_eigenvalues(n, step)[0]
-                 for n, step in zip(init.grid.dims, h))
-    dt0 = cfg.dt_safety * min(
-        1.0, (k_min2 + sigma) * p.L / bulk_lipschitz_bound(p)
-    )
     start = TensorField(init.grid, to_s0(init.values))
     # shifted energy / L, per unit cell volume kept implicit
     e0 = 0.5 * dirichlet_energy(init) + bulk_energy(init, p) / p.L
@@ -348,18 +338,11 @@ def solve_ldg(
         g = _ldg_velocity(fld, p)
         return metric_inverse(g), g, float(np.sqrt(np.max(dot_s0(g, g))))
 
-    def bb_short(d: np.ndarray, y: np.ndarray, w: np.ndarray):
-        """Short BB step <d,y>/<w,y> in the metric P, or None if <d,y> <= 0;
-        pairwise numpy sums keep it independent of the BLAS thread count."""
-        dy = float(np.sum(d * y))
-        return dy / float(np.sum(w * y)) if dy > 0.0 else None
-
     res = _monotone_flow(
-        start, cfg, dt0,
+        start, cfg,
         objective=lambda fld: e0 + increment(fld),
         direction=direction,
         retract=lambda c: c,  # every coordinate vector is in S0
-        step=bb_short,
         failure="time step underflow; bulk term too stiff for this grid",
         log=log,
     )
@@ -381,15 +364,14 @@ def solve_harmonic(
     The L2 residual g is the tangential part of lap(Q).  The velocity is the
     tangential part of (-lap)^{-1} g (zero Dirichlet data), and a step
     retracts Q + dt * velocity to the manifold at every interior node.  The
-    trial steps are long Barzilai-Borwein steps in the metric -lap; in it
-    the linearized flow has unit rate, so the first trial step is
+    trial steps are _monotone_flow's short Barzilai-Borwein steps in the
+    metric -lap; in it the linearized flow has unit rate, so the first is
     dt_safety.  el_residual is max |g|, the stationarity residual of the
     discrete harmonic map.
     """
     s = p.s_plus
     require_on_manifold(init.values, s, "initial field")
     h = init.grid.h
-    pad = ((1, 1),) * 3 + ((0, 0),) * 2
 
     def direction(fld: TensorField):
         q = fld.interior
@@ -398,19 +380,11 @@ def solve_harmonic(
         v = poisson_dirichlet(g, h)
         return v - normal_component(v, q, s), g, float(np.max(norm(g)))
 
-    def bb_long(d: np.ndarray, y: np.ndarray, _w: np.ndarray):
-        """Long Barzilai-Borwein step <d,-lap d>/<d,y>, or None when
-        <d,y> <= 0; pairwise numpy sums as in solve_ldg."""
-        dy = float(np.sum(d * y))
-        lap = laplacian_array(np.pad(d, pad), h)
-        return float(np.sum(d * -lap)) / dy if dy > 0.0 else None
-
     return _monotone_flow(
-        init, cfg, cfg.dt_safety,
+        init, cfg,
         objective=dirichlet_energy,
         direction=direction,
         retract=lambda m: project_array(m, p),
-        step=bb_long,
         failure="time step underflow in projected flow",
         log=log,
     )

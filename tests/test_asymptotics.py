@@ -40,7 +40,7 @@ from ldglimit.geometry import (
     MaterialParams,
     grad_squared,
     harmonic_rhs_array,
-    normal_basis_s0,
+    normal_basis,
     normal_component,
     normality_residual,
     project_array,
@@ -366,7 +366,7 @@ def test_projection_residual_names_ill_conditioned_node_in_last_slab(monkeypatch
     # on the manifold T has eigenvalues (beta, -s, -s), condition 1; moving
     # the lower pair by +-0.3 s raises it to 1.3 / 0.7 at interior (8, 2, 3)
     n = projection_frame(f.values[9, 3, 4], p)[1][:, 0]
-    f.values[9, 3, 4] += 0.3 * s * normal_basis_s0(n)[1]
+    f.values[9, 3, 4] += 0.3 * s * normal_basis(n)[1]
     monkeypatch.setattr(asymptotics, "_COND_LIMIT", 1.5)
     for block in (1, 10**9):
         monkeypatch.setattr(fields, "SLAB_NODES", block)

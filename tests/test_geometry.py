@@ -14,7 +14,7 @@ from ldglimit.geometry import (
     check_identities,
     grad_squared,
     harmonic_rhs_array,
-    normal_basis_s0,
+    normal_basis,
     normal_component,
     normality_residual,
     project_array,
@@ -181,7 +181,7 @@ def test_normal_component_fixes_normals(rng, unit_params):
     s = p.s_plus
     for n in random_directors(rng, 20):
         q, n = base_point(n, p)
-        z1, z2, z3 = normal_basis_s0(n)
+        z1, z2, z3 = normal_basis(n)
         z = rng.normal() * z1 + rng.normal() * z2 + rng.normal() * z3
         assert np.max(np.abs(normal_component(z, q, s) - z)) < 1e-12
         t1, t2 = tangent_basis(n)
@@ -194,7 +194,7 @@ def test_bases_are_orthogonal_frames(rng, unit_params):
     for n in random_directors(rng, 20):
         q, n = base_point(n, p)
         t1, t2 = tangent_basis(n)
-        z1, z2, z3 = normal_basis_s0(n)
+        z1, z2, z3 = normal_basis(n)
         vecs = [t1, t2, z1, z2, z3]
         for i, a in enumerate(vecs):
             assert abs(np.trace(a)) < 1e-12
@@ -212,9 +212,9 @@ def test_bases_are_orthogonal_frames(rng, unit_params):
         assert np.max(np.abs(np.sqrt(2.0) * from_s0(c) - t)) < 1e-15
         assert np.max(np.abs(dot_s0(c, c) - 1.0)) < 1e-15
     assert np.max(np.abs(dot_s0(c1, c2))) < 1e-15
-    frames = tangent_basis(n) + normal_basis_s0(n)
+    frames = tangent_basis(n) + normal_basis(n)
     for i in range(len(n)):
-        for fb, fs in zip(frames, tangent_basis(n[i]) + normal_basis_s0(n[i])):
+        for fb, fs in zip(frames, tangent_basis(n[i]) + normal_basis(n[i])):
             assert np.array_equal(fb[i], fs)
 
 
@@ -305,7 +305,7 @@ def test_check_identities_valid_and_mutated(rng, unit_params):
     s = p.s_plus
     q, n = base_point([0.3, -0.5, 0.8], p)
     t1, t2 = tangent_basis(n)
-    z1, z2, z3 = normal_basis_s0(n)
+    z1, z2, z3 = normal_basis(n)
     x = 0.7 * t1 - 0.2 * t2
     y = -1.1 * t1 + 0.4 * t2
     z = 0.5 * z1 + 0.3 * z2 - 0.8 * z3
@@ -327,7 +327,7 @@ def test_check_identities_valid_and_mutated(rng, unit_params):
     n = random_directors(rng, 64)
     q = uniaxial(n, s)
     t1, t2 = tangent_basis(n)
-    z1, z2, z3 = normal_basis_s0(n)
+    z1, z2, z3 = normal_basis(n)
     c = rng.normal(size=(7, 64, 1, 1))
     x = c[0] * t1 + c[1] * t2
     y = c[2] * t1 + c[3] * t2

@@ -206,19 +206,21 @@ def test_default_sweep_rungs_meet_residual(sweep_report):
 
 def test_default_sweep_ladder_iteration_counts(sweep_report):
     """The LdG flow in the split metric solves the default ladder in at most
-    35 iterations (8/7/7/7 measured; the metric -lap + sigma took 24/17/14/8
-    and the L2 flow 58/23/14/12) and every rung stops on its residual (two
-    of the -lap + sigma rungs and every L2 rung stopped on "energy").
-    Counts do not depend on the machine."""
+    28 iterations (6/6/6/6 measured from the first step dt_safety; the first
+    step dt_safety min(1, (k_min^2 + sigma) L / (bulk Lipschitz bound)) took
+    8/7/7/7, the metric -lap + sigma 24/17/14/8 and the L2 flow 58/23/14/12)
+    and every rung stops on its residual (two of the -lap + sigma rungs and
+    every L2 rung stopped on "energy").  Counts do not depend on the
+    machine."""
     results = sweep_report.results_by_l.values()
-    assert sum(res.iterations for res in results) <= 35
+    assert sum(res.iterations for res in results) <= 28
     assert all(res.stop_reason == "residual" for res in results)
 
 
 def test_hedgehog_ladder_reaches_the_same_states_in_fewer_iterations():
     """The 12^3 hedgehog ladder on [-1, 1]^3 with margin 0 ends every rung
     at the stationary state the L2 flow reached (its energies to 1e-9) in
-    at most 80 iterations (65 measured; the L2 flow took 43/44/34/34)."""
+    at most 80 iterations (69 measured; the L2 flow took 43/44/34/34)."""
     cfg = tiny_config(boundary="hedgehog", dims=(12, 12, 12), box_lo=-1.0,
                       box_hi=1.0, l_ladder=(0.16, 0.08, 0.04, 0.02),
                       max_iters=50000)
