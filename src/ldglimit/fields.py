@@ -273,21 +273,15 @@ def center_offsets(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     return rel, np.sum(rel**2, axis=-1)
 
 
-def radial_directions(rel: np.ndarray, r2: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Unit vectors along center_offsets' rel (squared lengths r2) on a
-    grid of spacing h.  Raises CenterOnBoundary when a node coincides with
-    the center; with an even interior point count per axis the center is
-    offset from the lattice by h/2."""
-    if np.min(r2) < (1e-12 * np.min(h)) ** 2:
-        raise CenterOnBoundary("a lattice node coincides with the box center")
-    return rel / np.sqrt(r2)[..., None]
-
-
 def boundary_hedgehog(grid: GridSpec, p: MaterialParams) -> TensorField:
-    """Radial uniaxial data s_+(r^ (x) r^ - I/3) about the box center;
-    raises CenterOnBoundary as radial_directions does."""
-    n = radial_directions(*center_offsets(grid), grid.h)
-    return TensorField(grid, uniaxial(n, p.s_plus))
+    """Radial uniaxial data s_+(r^ (x) r^ - I/3) about the box center.
+    Raises CenterOnBoundary when a node lies within 1e-12 of the smallest
+    node spacing from the center; with an even interior point count per
+    axis the center is offset from the lattice by h/2."""
+    rel, r2 = center_offsets(grid)
+    if np.min(r2) < (1e-12 * np.min(grid.h)) ** 2:
+        raise CenterOnBoundary("a lattice node coincides with the box center")
+    return TensorField(grid, uniaxial(rel / np.sqrt(r2)[..., None], p.s_plus))
 
 
 def boundary_near_constant(

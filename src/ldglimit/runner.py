@@ -32,7 +32,6 @@ from .fields import (
     interior_margin_mask,
     laplacian_array,
     norms,
-    radial_directions,
     save_field_csv,
 )
 from .geometry import (
@@ -148,24 +147,18 @@ def run_check_geometry(
 
 
 def hedgehog_corrector_exact(grid: GridSpec, p: MaterialParams) -> np.ndarray:
-    """Closed-form normal corrector of the radial uniaxial field about the
-    box center, at interior nodes: -(18 s / ((6 a2 + b2 s) r^2)) (r^ (x) r^ - I/3).
-    Raises CenterOnBoundary, as boundary_hedgehog does, when a node sits at
-    the center."""
-    rel, r2 = center_offsets(grid)
-    return _radial_corrector(rel[_IN, _IN, _IN], r2[_IN, _IN, _IN], grid.h, p)
+    """Closed-form normal corrector of the hedgehog data Q_hh = s_+ (r^ (x)
+    r^ - I/3) about the box center, at interior nodes: -18 / ((6 a2 + b2
+    s_+) r^2) Q_hh.  Raises CenterOnBoundary, as boundary_hedgehog does,
+    when a node sits at the center."""
+    q_hh = boundary_hedgehog(grid, p).interior
+    return _radial_corrector(q_hh, center_offsets(grid)[1][_IN, _IN, _IN], p)
 
 
-def _radial_corrector(rel, r2, h, p: MaterialParams) -> np.ndarray:
-    """hedgehog_corrector_exact at nodes with center offsets rel of squared
-    lengths r2."""
-    s = p.s_plus
-    nhat = radial_directions(rel, r2, h)
-    amp = -18.0 * s / ((6.0 * p.a2 + p.b2 * s) * r2)
-    # amp (n n^T - I/3) in place: uniaxial at s_+ = 1 is exactly n n^T - I/3
-    out = uniaxial(nhat, 1.0)
-    out *= amp[..., None, None]
-    return out
+def _radial_corrector(q_hh, r2, p: MaterialParams) -> np.ndarray:
+    """hedgehog_corrector_exact read off the hedgehog data q_hh at nodes of
+    squared center distance r2."""
+    return q_hh * (-18.0 / ((6.0 * p.a2 + p.b2 * p.s_plus) * r2))[..., None, None]
 
 
 def run_corrector(
@@ -197,8 +190,7 @@ def run_corrector(
         width = cfg.box_hi - cfg.box_lo
         if center_exclusion is None:
             center_exclusion = 0.25 * width
-        rel, r2 = center_offsets(grid)
-        rel, r2 = rel[_IN, _IN, _IN], r2[_IN, _IN, _IN]
+        r2 = center_offsets(grid)[1][_IN, _IN, _IN]
         # before boundary_hedgehog, whose CenterOnBoundary is a domain error
         mask = np.sqrt(r2) >= center_exclusion
         if not mask.any():
@@ -207,7 +199,7 @@ def run_corrector(
             )
         f = boundary_hedgehog(grid, p)
         a_fd = corrector_a(f, p)
-        a_exact = _radial_corrector(rel, r2, grid.h, p)
+        a_exact = _radial_corrector(f.interior, r2, p)
         a_fd -= a_exact
         err = norm(a_fd)
         return {
@@ -284,12 +276,12 @@ def run_solve(cfg: ExperimentConfig, command: str, log=None):
 
 
 def run_sweep(cfg: ExperimentConfig, log=None, write: bool = True) -> SweepReport:
-    """Solve the harmonic limit once, then descend the L-ladder from
-    first-order predictions: the first rung starts at Q_* + L_0 a (a the
-    closed-form normal corrector), rung k at Q_* + (L_k / L_{k-1}) (Q_{L_{k-1}}
-    - Q_*); report errors, diagnostics and fitted convergence rates.  With
-    write, an output directory that cannot be written raises OSError before
-    the first solve."""
+    """Solve the harmonic limit once, then solve each rung of the L-ladder
+    from the first-order expansion Q_* + L a (a the closed-form normal
+    corrector), so a rung's field depends only on Q_*, a and its own L;
+    report errors, diagnostics and fitted convergence rates.  With write,
+    an output directory that cannot be written raises OSError before the
+    first solve."""
     if write:
         _require_output_dir(cfg.output_dir)
     grid = cfg.grid()
@@ -302,17 +294,10 @@ def run_sweep(cfg: ExperimentConfig, log=None, write: bool = True) -> SweepRepor
     a_fd = corrector_a(q_star, p0)
 
     report = SweepReport(config=cfg, q_star_result=star_res)
-    prev = None  # (L, Q_L) of the previous rung
     for L in cfg.l_ladder:
         p = MaterialParams(cfg.a2, cfg.b2, cfg.c2, L=L)
-        if prev is None:
-            guess = q_star.with_interior(q_star.interior + L * a_fd)
-        else:
-            guess = q_star.with_interior(
-                q_star.interior + (L / prev[0]) * (prev[1].interior - q_star.interior)
-            )
+        guess = q_star.with_interior(q_star.interior + L * a_fd)
         res = solve_ldg(guess, p, cfg, log=log)
-        prev = (L, res.field)
         nm = norms(res.field, q_star, margin=cfg.margin)
         diag = compute_xyz(res.field, p)
         corr = empirical_corrector(res.field, q_star, p)
