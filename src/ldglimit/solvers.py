@@ -107,20 +107,22 @@ def _monotone_flow(
     count), or 2 * dt when <s,y> <= 0 (or <w,y> <= 0, which the projected
     flow's moving tangent spaces allow), capped at _DT_CAP * dt_safety.
 
-    Stops on the residual, or on the second full trial step since the last
-    larger decrement that decreases the energy by at most rel_energy_tol
-    (relative).  One such step is also what a non-monotone BB step gives far
-    from a stationary point, and a step the line search shortened may
-    decrease little for that reason alone, so it neither counts nor resets.
+    direction runs on the start and on each accepted field, and every stop
+    reads the residual of the field it returns: a field whose residual is
+    at most residual_tol stops on "residual" whatever other rule fires.
+    Otherwise the flow stops after max_iters accepted steps, or on "energy"
+    at the second full trial step since the last larger decrement that
+    decreases the energy by at most rel_energy_tol (relative).  One such
+    step is also what a non-monotone BB step gives far from a stationary
+    point, and a step the line search shortened may decrease little for
+    that reason alone, so it neither counts nor resets.
     A shortened step that leaves the energy unchanged is counted apart: the
-    second since the last larger decrement stops on "energy" too, since the
-    next BB step starts large again and the line search would never reach
-    the floor.
+    second since the last larger decrement stops on "energy" too, as the
+    next BB step starts large again and the search never reaches the floor.
     A line search that reaches _DT_FLOOR stops on "energy" with the last
     accepted field when the energy no longer resolves the flow: right after
     a small decrement, or when the last trial's increase is at most
-    _ROUNDING relative.  Otherwise it raises StiffnessFailure.  el_residual
-    is the residual of the returned field.
+    _ROUNDING relative.  Otherwise it raises StiffnessFailure.
     """
     f = init.copy()
     dt = cfg.dt_safety
@@ -128,20 +130,17 @@ def _monotone_flow(
     e = objective(f)
     if not np.isfinite(e):
         raise LdglimitError(f"starting energy is not finite ({e})")
-    history = [e]
-    prev = None  # (interior, L2 residual, velocity) of the previous iterate
-    stop = "max_iters"
+    history = [e]  # one entry per accepted field, the start's first
+    vel, grad, residual = direction(f)  # of the last accepted field
+    prev = None  # (interior, L2 residual, velocity) of the previous field
+    stop = None  # "energy" once the energy rule or the dt floor ends the flow
     backtracks = 0
     small = False  # the last accepted step decreased the energy by <= tol
     strike = False  # a full trial step did so since the last larger decrement
     flat = False  # a shortened step left the energy unchanged since then
 
-    for iterations in range(1, cfg.max_iters + 1):
-        vel, grad, residual = direction(f)
-        if residual <= cfg.residual_tol:
-            stop = "residual"
-            iterations -= 1
-            break
+    while (stop is None and not residual <= cfg.residual_tol  # also NaN
+           and len(history) <= cfg.max_iters):
         if prev is not None:
             y = prev[1] - grad
             sy = float(np.sum((f.interior - prev[0]) * y))
@@ -170,33 +169,33 @@ def _monotone_flow(
                     raise StiffnessFailure(failure)
                 stop = "energy"
                 break
-        if stop == "energy":
-            iterations -= 1  # this iteration accepted no step
+        if stop is not None:
             break
         decrement = e - e_new
         f, e = candidate, e_new
         history.append(e)
-        _emit(log, cfg, iterations, e, residual, dt)
+        vel, grad, residual = direction(f)
+        _emit(log, cfg, len(history) - 1, e, residual, dt)
         small = decrement <= cfg.rel_energy_tol * max(abs(e), 1e-300)
         if not small:
             strike = flat = False
         elif not shortened:
             if strike:
                 stop = "energy"
-                break
             strike = True
         elif decrement == 0.0:
             if flat:
                 stop = "energy"
-                break
             flat = True
 
-    if stop != "residual":
-        _, _, residual = direction(f)
+    if residual <= cfg.residual_tol:  # the residual stop wins over the others
+        stop = "residual"
+    elif stop is None:
+        stop = "max_iters"
     return SolveResult(
         field=f,
-        iterations=iterations,
-        final_energy=e,
+        iterations=len(history) - 1,
+        final_energy=history[-1],
         el_residual=residual,
         converged=stop != "max_iters",
         energy_history=np.array(history),

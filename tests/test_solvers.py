@@ -220,6 +220,29 @@ def test_iteration_budgets(ldg_run, harmonic_run):
     assert harmonic_run[3].iterations <= 100
 
 
+def _derived_stop(res, cfg):
+    """The stop perfbench's solve hook (perfbench/child.py) derives from a
+    result's iteration count and residual alone."""
+    if res.iterations >= cfg.max_iters:
+        return "max_iters"
+    return "residual" if res.el_residual <= cfg.residual_tol else "energy"
+
+
+def test_every_outcome_is_its_last_accepted_field(sweep_report, ldg_run,
+                                                  harmonic_run):
+    """Every solve counts its accepted steps, ends on the last energy of its
+    history and reports the stop that its count and the residual of the
+    returned field determine."""
+    rep = sweep_report
+    solves = [(rep.config, rep.q_star_result)]
+    solves += [(rep.config, res) for res in rep.results_by_l.values()]
+    solves += [(run[2], run[3]) for run in (ldg_run, harmonic_run)]
+    for cfg, res in solves:
+        assert res.iterations == len(res.energy_history) - 1
+        assert res.final_energy == res.energy_history[-1]
+        assert res.stop_reason == _derived_stop(res, cfg)
+
+
 def test_max_iters_stop_is_reported():
     p = make_params()
     init = tilt_field(p)
@@ -302,6 +325,30 @@ def test_flat_objective_after_every_backtrack_stops_on_energy():
     assert res.stop_reason == "energy" and res.iterations < 100
     assert res.backtracks == res.iterations
     assert np.all(res.energy_history == 1.0)
+
+
+def test_small_step_onto_a_resolved_field_stops_on_residual():
+    """A field that meets residual_tol stops on "residual" even when the
+    step that reached it is also the energy rule's second small full step:
+    both full steps here decrease the energy by at most 2e-15 relative, and
+    only the field after the second has a residual under the tolerance."""
+    init = zeros_field(GRID)
+
+    def objective(fld):
+        return 1.0 - 1e-15 * float(np.max(fld.interior))
+
+    def direction(fld):
+        ones = np.ones_like(fld.interior)
+        return ones, ones, 1e-8 if np.max(fld.interior) >= 3.0 else 1.0
+
+    res = solvers._monotone_flow(
+        init, SolveConfig(dt_safety=1.0), objective=objective,
+        direction=direction, retract=lambda c: c, failure="unused", log=None,
+    )
+    assert res.stop_reason == "residual" and res.converged
+    assert res.iterations == 2 and res.backtracks == 0
+    assert res.el_residual == 1e-8
+    assert res.final_energy == res.energy_history[-1] == 1.0 - 1e-15 * 3.0
 
 
 def test_floor_after_small_decrement_stops_on_energy(monkeypatch, ldg_run):
