@@ -10,7 +10,7 @@ from __future__ import annotations
 import errno
 import math
 import os
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -228,9 +228,9 @@ RATE_QUANTITIES = {
 class SweepReport:
     config: ExperimentConfig
     q_star_result: SolveResult
-    rows: list = field(default_factory=list)
-    fits: dict = field(default_factory=dict)
-    results_by_l: dict = field(default_factory=dict)
+    rows: list
+    fits: dict
+    results_by_l: dict
 
     @property
     def fields_by_l(self) -> dict:
@@ -293,7 +293,7 @@ def run_sweep(cfg: ExperimentConfig, log=None, write: bool = True) -> SweepRepor
     q_star = star_res.field
     a_fd = corrector_a(q_star, p0)
 
-    report = SweepReport(config=cfg, q_star_result=star_res)
+    rows, results = [], {}
     for L in cfg.l_ladder:
         p = MaterialParams(cfg.a2, cfg.b2, cfg.c2, L=L)
         guess = q_star.with_interior(q_star.interior + L * a_fd)
@@ -316,8 +316,8 @@ def run_sweep(cfg: ExperimentConfig, log=None, write: bool = True) -> SweepRepor
             "sup_r_interior": float(np.max(norm(diag.r_field)[mask])),
             "a_err_interior": float(np.max(norm(corr.a_field - a_fd)[mask])),
         }
-        report.rows.append(row)
-        report.results_by_l[L] = res
+        rows.append(row)
+        results[L] = res
         if log is not None:
             log(" ".join(f"{k}={format_value(v)}" for k, v in row.items()))
 
@@ -336,15 +336,16 @@ def run_sweep(cfg: ExperimentConfig, log=None, write: bool = True) -> SweepRepor
             f"rhs_consistency={float(np.max(norm(lap - rhs))):.6e}"
         )
 
-    ls = [row["L"] for row in report.rows]
+    fits = {}
     for name, col in RATE_QUANTITIES.items():
         try:
-            report.fits[name] = fit_rate(ls, [row[col] for row in report.rows])
+            fits[name] = fit_rate(cfg.l_ladder, [row[col] for row in rows])
         except DegenerateFit as exc:
-            report.fits[name] = None
+            fits[name] = None
             if log is not None:
                 log(f"warning: rate fit for {name} degenerate: {exc}")
 
+    report = SweepReport(cfg, star_res, rows, fits, results)
     if write:
         write_sweep_artifacts(report)
     return report

@@ -63,24 +63,36 @@ class SolveConfig:
     def __post_init__(self):
         if not 0.0 < self.dt_safety <= 1.0:
             raise ValueError("dt_safety must lie in (0, 1]")
-        if self.max_iters <= 0 or self.residual_tol <= 0:
-            raise ValueError("max_iters and residual_tol must be positive")
+        # every test here also fails on NaN
+        if not (0 < self.max_iters < np.inf and 0 < self.residual_tol < np.inf):
+            raise ValueError("max_iters and residual_tol must lie in (0, inf)")
         if not 0.0 < self.rel_energy_tol < 1.0:
             raise ValueError("rel_energy_tol must lie in (0, 1)")
-        if self.log_every < 0:
-            raise ValueError("log_every must be nonnegative")
+        if not 0 <= self.log_every < np.inf:
+            raise ValueError("log_every must lie in [0, inf)")
 
 
 @dataclass
 class SolveResult:
+    """What a solve measured; the counts and the verdict are read off it."""
+
     field: TensorField
-    iterations: int
-    final_energy: float
     el_residual: float
-    converged: bool
-    energy_history: np.ndarray = field(repr=False, default=None)
-    stop_reason: str = "max_iters"  # "residual", "energy" or "max_iters"
-    backtracks: int = 0  # rejected trial steps, each halving dt
+    energy_history: np.ndarray = field(repr=False)  # start, accepted fields
+    stop_reason: str  # "residual", "energy" or "max_iters"
+    backtracks: int  # rejected trial steps, each halving dt
+
+    @property
+    def iterations(self) -> int:  # accepted steps
+        return len(self.energy_history) - 1
+
+    @property
+    def final_energy(self) -> float:
+        return float(self.energy_history[-1])
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason != "max_iters"
 
 
 def _emit(log, cfg: SolveConfig, i: int, e: float, res: float, dt: float) -> None:
@@ -192,16 +204,7 @@ def _monotone_flow(
         stop = "residual"
     elif stop is None:
         stop = "max_iters"
-    return SolveResult(
-        field=f,
-        iterations=len(history) - 1,
-        final_energy=history[-1],
-        el_residual=residual,
-        converged=stop != "max_iters",
-        energy_history=np.array(history),
-        stop_reason=stop,
-        backtracks=backtracks,
-    )
+    return SolveResult(f, residual, np.array(history), stop, backtracks)
 
 
 def _ldg_velocity(c: TensorField, p: MaterialParams) -> np.ndarray:
@@ -317,10 +320,12 @@ def solve_ldg(
     fixed, so _monotone_flow's short Barzilai-Borwein steps are steps in it;
     in P the linearized flow has about unit rate, so the first is dt_safety.
     Stationary points satisfy the discrete Euler-Lagrange equation
-    L * lap(Q) = bulk gradient; the stop reads max |g|.  The energy is
+    L * lap(Q) = bulk gradient.  The stop reads the S0 residual
+    max sqrt(<g, g>) of the coordinates it flows.  The energy is
     non-increasing on accepted steps by construction.  The returned field is
     init with the solved interior (init itself when no step moved it), and
-    el_residual is the residual of that field.
+    el_residual is the residual max |g| of that matrix field, recomputed
+    after from_s0; the two residuals are equal up to rounding.
     """
     require_on_manifold(init.values[init.boundary_mask()], p.s_plus,
                         "boundary data")

@@ -2,6 +2,8 @@
 check), the corrector study, and the ladder sweep with its artifacts and
 determinism."""
 
+from dataclasses import MISSING, fields
+
 import numpy as np
 import pytest
 
@@ -17,12 +19,14 @@ from ldglimit.fields import (
 from ldglimit.runner import (
     CHECK_TOLERANCES,
     RATE_QUANTITIES,
+    SweepReport,
     hedgehog_corrector_exact,
     run_check_geometry,
     run_corrector,
     run_sweep,
 )
 from ldglimit.errors import CenterOnBoundary
+from ldglimit.solvers import SolveResult
 from ldglimit.tensor_algebra import I3, norm
 
 from conftest import tiny_config
@@ -190,6 +194,29 @@ def test_run_sweep_eps_zero_yields_degenerate_fits(tmp_path):
     assert report.fits["l2_err"] is None
     # a degenerate fit is written as nan
     assert "l2_err,nan,nan,nan" in (tmp_path / "rates.csv").read_text().splitlines()
+
+
+def test_records_store_what_was_measured(sweep_report):
+    """A solve record stores the five things a solve measures and reads its
+    iteration count, final energy and verdict off them; a sweep report is
+    built whole, with nothing left to fill in later."""
+    shapes = {
+        SolveResult: ["field", "el_residual", "energy_history",
+                      "stop_reason", "backtracks"],
+        SweepReport: ["config", "q_star_result", "rows", "fits",
+                      "results_by_l"],
+    }
+    for record, names in shapes.items():
+        assert [f.name for f in fields(record)] == names
+        assert all(f.default is MISSING and f.default_factory is MISSING
+                   for f in fields(record))
+    res = sweep_report.q_star_result
+    for name in ("iterations", "final_energy", "converged"):
+        assert isinstance(getattr(SolveResult, name), property)
+        with pytest.raises(AttributeError):
+            setattr(res, name, getattr(res, name))
+    assert type(res.final_energy) is float
+    assert res.converged == (res.stop_reason != "max_iters")
 
 
 def test_default_sweep_rungs_meet_residual(sweep_report):

@@ -38,7 +38,14 @@ from ldglimit.solvers import (
     solve_harmonic,
     solve_ldg,
 )
-from ldglimit.tensor_algebra import comm, norm, poly_min, qtensor, to_s0
+from ldglimit.tensor_algebra import (
+    comm,
+    dot_s0,
+    norm,
+    poly_min,
+    qtensor,
+    to_s0,
+)
 
 from conftest import zeros_field
 
@@ -79,6 +86,12 @@ def test_solve_config_validation():
         SolveConfig(log_every=-3)
     with pytest.raises(ValueError):
         SolveConfig(rel_energy_tol=1.0)
+    # a NaN or infinite setting is refused too: with residual_tol NaN no
+    # solve could stop on "residual", with inf every solve would at once
+    for bad in (dict(residual_tol=np.nan), dict(residual_tol=np.inf),
+                dict(max_iters=np.inf), dict(log_every=np.nan)):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            SolveConfig(**bad)
 
 
 def test_log_every_emits_every_second_accepted_iteration():
@@ -181,6 +194,20 @@ def test_solve_ldg_residual_self_consistent(ldg_run):
     # the reported residual is that of the returned field, also on
     # decrement stops
     assert res.el_residual == recomputed
+
+
+def test_reported_residual_is_the_stopping_residual(sweep_report):
+    """solve_ldg stops on the residual of the S0 coordinates it flows,
+    max sqrt(<g, g>), and reports el_residual on the returned matrix field;
+    on every rung of the default sweep the two agree to rounding (the
+    gaps are at most 1.4e-8 relative at 16^3)."""
+    cfg = sweep_report.config
+    for L, res in sweep_report.results_by_l.items():
+        p = MaterialParams(cfg.a2, cfg.b2, cfg.c2, L=L)
+        c = TensorField(res.field.grid, to_s0(res.field.values))
+        g = solvers._ldg_velocity(c, p)
+        s0_residual = float(np.sqrt(np.max(dot_s0(g, g))))
+        assert res.el_residual == pytest.approx(s0_residual, rel=1e-6), L
 
 
 def test_solve_harmonic_stays_on_manifold(harmonic_run):

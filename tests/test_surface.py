@@ -2,8 +2,9 @@
 UPPER_CASE constant of ldglimit, every public method and property of its
 classes, and every public field of its dataclasses, has a caller or reader
 in the package, the benchmark or the acceptance gate, not only in the unit
-tests; and no module of the package or the tests imports a name it never
-uses."""
+tests; every private top-level function, class and constant of the package
+is referenced in the package beyond its own definition; and no module of
+the package or the tests imports a name it never uses."""
 
 import ast
 from pathlib import Path
@@ -109,6 +110,37 @@ def test_every_public_definition_has_a_caller():
         qualified in defined and defined[qualified] not in referenced
         for qualified in ALLOWED
     )
+
+
+def _private_definitions(path: Path) -> set[str]:
+    """Names of a module's private (underscored, not dunder) top-level
+    functions, classes and constants."""
+    names = set()
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return {n for n in names if n.startswith("_") and not n.endswith("__")}
+
+
+def test_every_private_definition_has_a_caller():
+    defined = {
+        f"{path.stem}.{name}": name
+        for path in SRC
+        for name in _private_definitions(path)
+    }
+    # the scan sees private functions and constants, lower-case ones too
+    assert {
+        "solvers._monotone_flow",
+        "solvers._DT_FLOOR",
+        "runner._IN",
+        "cli._THREAD_VARS",
+    } <= set(defined)
+    # the unit tests do not count: the package itself must use the name
+    referenced = set().union(*(_references(path) for path in SRC))
+    unused = sorted(q for q, name in defined.items() if name not in referenced)
+    assert unused == []
 
 
 def _unused_imports(path: Path) -> set[str]:
