@@ -364,17 +364,27 @@ def save_field_csv(f: TensorField, path) -> None:
 
 
 def load_field_csv(path) -> TensorField:
-    """Inverse of save_field_csv."""
+    """Inverse of save_field_csv, read one first-axis plane at a time so
+    that only one plane's parsed rows live beside the output.  Raises
+    ValueError unless the column header is CSV_HEADER, every plane holds
+    n2*n3 rows and no data row follows the last plane."""
     with open(path) as fh:
-        dims_line = fh.readline().strip()
-        box_line = fh.readline().strip()
-    dims = tuple(int(x) for x in dims_line.split("=", 1)[1].split(","))
-    b = [float(x) for x in box_line.split("=", 1)[1].split(",")]
-    box = ((b[0], b[1]), (b[2], b[3]), (b[4], b[5]))
-    grid = GridSpec(dims=dims, box=box)
-    comp = np.loadtxt(path, delimiter=",", skiprows=3, usecols=range(3, 8))
-    values = np.zeros((len(comp), 3, 3))
-    for k, (i, j) in enumerate(_CSV_COMPONENTS):
-        values[:, i, j] = values[:, j, i] = comp[:, k]
-    values[:, 2, 2] = -comp[:, 0] - comp[:, 1]
-    return TensorField(grid, values.reshape(grid.shape + (3, 3)))
+        dims = tuple(int(x) for x in fh.readline().split("=", 1)[1].split(","))
+        b = [float(x) for x in fh.readline().split("=", 1)[1].split(",")]
+        grid = GridSpec(dims=dims, box=((b[0], b[1]), (b[2], b[3]), (b[4], b[5])))
+        if fh.readline().strip() != CSV_HEADER:
+            raise ValueError(f"{path}: column header is not {CSV_HEADER}")
+        values = np.empty(grid.shape + (3, 3))
+        rows = grid.shape[1] * grid.shape[2]
+        for x, plane in enumerate(values.reshape(grid.shape[0], rows, 3, 3)):
+            comp = np.loadtxt(fh, delimiter=",", usecols=range(3, 8),
+                              max_rows=rows, ndmin=2)
+            if len(comp) != rows:
+                raise ValueError(f"{path}: plane {x} has {len(comp)} of {rows} rows")
+            for k, (i, j) in enumerate(_CSV_COMPONENTS):
+                plane[:, i, j] = plane[:, j, i] = comp[:, k]
+            plane[:, 2, 2] = -comp[:, 0] - comp[:, 1]
+        # loadtxt skips blank and '#' comment lines; so does this check
+        if any(line.split("#", 1)[0].strip() for line in fh):
+            raise ValueError(f"{path}: data rows follow the last plane")
+    return TensorField(grid, values)

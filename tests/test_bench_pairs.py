@@ -1,0 +1,52 @@
+"""The pair summary of tools/bench_pairs.py, on hand-made pairs."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_SPEC = importlib.util.spec_from_file_location(
+    "bench_pairs", Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+RSS = {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.1}
+
+
+def _pairs(parent, change):
+    return [
+        {"parent": {"metrics": {"peak_rss_mb": {"value": a}}},
+         "change": {"metrics": {"peak_rss_mb": {"value": b}}}}
+        for a, b in zip(parent, change)
+    ]
+
+
+def test_summary_counts_pairs_and_gaps():
+    parent = [96.0, 96.5, 97.0, 97.5, 98.0]
+    change = [92.0, 92.0, 99.0, 97.5, 91.0]
+    s = bench_pairs.summarize(_pairs(parent, change), RSS)
+    assert s["n"] == 5
+    assert s["parent"]["median"] == 97.0 and s["change"]["median"] == 92.0
+    assert s["parent"]["quartiles"] == [96.5, 97.5]
+    # one pair lost, one tied: 3 of 5 won is below nine tenths
+    assert (s["change_better_pairs"], s["change_worse_pairs"]) == (3, 1)
+    assert s["median_gap"] == -5.0 and s["parent_iqr"] == 1.0
+    assert not s["gain"] and s["within_bound"]
+
+
+@pytest.mark.parametrize("change, gain, within", [
+    ([95.0, 95.5, 96.0, 96.5], True, True),    # wins every pair by more than the IQR
+    ([96.4, 96.9, 97.4, 97.9], False, True),   # wins every pair, gap below the IQR
+    ([120.0] * 4, False, False),                # 23% worse against a 10% bound
+])
+def test_summary_gain_and_bound(change, gain, within):
+    s = bench_pairs.summarize(_pairs([96.5, 97.0, 97.5, 98.0], change), RSS)
+    assert (s["gain"], s["within_bound"]) == (gain, within)
+
+
+def test_summary_skips_pairs_without_the_metric():
+    pairs = _pairs([1.0, 2.0], [1.0, 2.0])
+    pairs[1]["change"]["metrics"] = {}
+    assert bench_pairs.summarize(pairs, RSS)["n"] == 1
+    assert bench_pairs.summarize(pairs[1:], RSS) == {"n": 0}

