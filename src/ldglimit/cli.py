@@ -109,6 +109,7 @@ def _argument_error(args) -> str | None:
 
 def _dispatch(args, cfg) -> int:
     from . import runner
+    from .fields import format_value
 
     log = print
 
@@ -126,8 +127,8 @@ def _dispatch(args, cfg) -> int:
 
     if args.command in ("solve-harmonic", "solve-ldg"):
         res, path = runner.run_solve(cfg, args.command, log=log)
-        print(f"converged={res.converged} iterations={res.iterations} "
-              f"energy={res.final_energy:.17g} residual={res.el_residual:.6e}")
+        print(f"converged={res.converged} iterations={res.iterations} energy="
+              f"{format_value(res.final_energy)} residual={res.el_residual:.6e}")
         print(f"wrote {path}")
         return 0
 

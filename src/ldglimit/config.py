@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .fields import GridSpec, interior_margin_mask
+from .fields import GridSpec, format_value, interior_margin_mask
 from .geometry import MaterialParams
 from .solvers import SolveConfig
 
@@ -75,24 +75,13 @@ class ExperimentConfig(SolveConfig):
         lines = []
         for f in fields(self):
             v = getattr(self, f.name)
-            if isinstance(v, tuple):
-                txt = ",".join(format_value(x) for x in v)
-            else:
-                txt = format_value(v)
+            txt = ",".join(map(format_value, v if isinstance(v, tuple) else (v,)))
             lines.append(f"{f.name}={txt}")
         return "\n".join(lines) + "\n"
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
             fh.write(self.serialize())
-
-
-def format_value(v) -> str:
-    """The artifact number format: 17 significant digits for a float, which
-    round-trip exactly, and str for anything else."""
-    if isinstance(v, float):
-        return f"{v:.17g}"
-    return str(v)
 
 
 def parse_config(text: str) -> ExperimentConfig:

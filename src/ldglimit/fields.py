@@ -338,6 +338,14 @@ def norms(f: TensorField, g: TensorField, margin: float = 0.0) -> dict[str, floa
     return {"l2": l2, "h1_semi": h1, "sup_interior": sup}
 
 
+_FLOAT_FORMAT = "%.17g"  # 17 significant digits round-trip a float exactly
+
+
+def format_value(v) -> str:
+    """The artifact number format: _FLOAT_FORMAT for a float, else str."""
+    return _FLOAT_FORMAT % v if isinstance(v, float) else str(v)
+
+
 # the (row, column) of each Q component a field CSV stores; Q33 = -Q11 - Q22
 _CSV_COMPONENTS = ((0, 0), (1, 1), (0, 1), (0, 2), (1, 2))
 CSV_HEADER = "x,y,z," + ",".join(f"Q{i + 1}{j + 1}" for i, j in _CSV_COMPONENTS)
@@ -345,16 +353,15 @@ CSV_HEADER = "x,y,z," + ",".join(f"Q{i + 1}{j + 1}" for i, j in _CSV_COMPONENTS)
 
 def save_field_csv(f: TensorField, path) -> None:
     """Write node coordinates plus the 5 independent components, C (row
-    major, z fastest) node order; 17 significant digits."""
-    axes = [["%.17g" % c for c in f.grid.axis_coords(a)] for a in range(3)]
+    major, z fastest) node order, every number in format_value's format."""
+    axes = [[format_value(c) for c in f.grid.axis_coords(a)] for a in range(3)]
     # each (y, z) pair's row after x, with the component fields to fill in
-    tail = ",".join(["%.17g"] * len(_CSV_COMPONENTS))
+    tail = ",".join([_FLOAT_FORMAT] * len(_CSV_COMPONENTS))
     yz = [f"{y},{z},{tail}" for y in axes[1] for z in axes[2]]
     with open(path, "w", newline="") as fh:
-        fh.write(f"# dims={f.grid.dims[0]},{f.grid.dims[1]},{f.grid.dims[2]}\n")
-        box = ",".join(f"{b:.17g}" for pair in f.grid.box for b in pair)
-        fh.write(f"# box={box}\n")
-        fh.write(CSV_HEADER + "\n")
+        dims = ",".join(map(str, f.grid.dims))
+        box = ",".join(format_value(b) for pair in f.grid.box for b in pair)
+        fh.write(f"# dims={dims}\n# box={box}\n{CSV_HEADER}\n")
         # one format call per first-axis plane (at 48^3 as fast as 512-row blocks)
         for x, slab in zip(axes[0], f.values):
             v = slab.reshape(-1, 3, 3)
@@ -363,14 +370,29 @@ def save_field_csv(f: TensorField, path) -> None:
             fh.write(rows % tuple(block.ravel().tolist()))
 
 
+def _header_numbers(path, lineno: int, line: str, key: str, kind, count: int):
+    """The count numbers of a field CSV's '# key=' comment line, or a
+    ValueError naming the line."""
+    head, _, text = line.rstrip("\n").partition("=")
+    try:
+        values = [kind(x) for x in text.split(",")]
+    except ValueError:
+        values = []
+    if head != f"# {key}" or len(values) != count:
+        raise ValueError(f"{path}: line {lineno} is not '# {key}=' and "
+                         f"{count} comma-separated numbers: {line!r}")
+    return values
+
+
 def load_field_csv(path) -> TensorField:
     """Inverse of save_field_csv, read one first-axis plane at a time so
     that only one plane's parsed rows live beside the output.  Raises
-    ValueError unless the column header is CSV_HEADER, every plane holds
-    n2*n3 rows and no data row follows the last plane."""
+    ValueError unless the two comment lines hold three dims and six box
+    bounds, the column header is CSV_HEADER, every plane holds n2*n3 rows
+    and no data row follows the last plane."""
     with open(path) as fh:
-        dims = tuple(int(x) for x in fh.readline().split("=", 1)[1].split(","))
-        b = [float(x) for x in fh.readline().split("=", 1)[1].split(",")]
+        dims = tuple(_header_numbers(path, 1, fh.readline(), "dims", int, 3))
+        b = _header_numbers(path, 2, fh.readline(), "box", float, 6)
         grid = GridSpec(dims=dims, box=((b[0], b[1]), (b[2], b[3]), (b[4], b[5])))
         if fh.readline().strip() != CSV_HEADER:
             raise ValueError(f"{path}: column header is not {CSV_HEADER}")

@@ -1,33 +1,34 @@
 """High-level experiment drivers: the randomized geometry identity suite,
 the L-ladder convergence sweep with rate fits, and the corrector study.
 
-All drivers are deterministic given a seed and write CSV artifacts with
-17-significant-digit formatting.
+All drivers are deterministic given a seed and write CSV artifacts in
+fields.format_value's number format.
 """
 
 from __future__ import annotations
 
 import errno
-import math
 import os
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import tensor_algebra
 from .asymptotics import (
+    RateFit,
     compute_xyz,
     corrector_a,
     empirical_corrector,
     fit_rate,
 )
-from .config import ExperimentConfig, format_value
+from .config import ExperimentConfig
 from .errors import DegenerateFit
 from .fields import (
     GridSpec,
     boundary_hedgehog,
     boundary_near_constant,
     center_offsets,
+    format_value,
     gradient_array,
     interior_margin_mask,
     laplacian_array,
@@ -361,10 +362,11 @@ def write_sweep_artifacts(report: SweepReport) -> None:
         fh.write(",".join(report.rows[0]) + "\n")
         for row in report.rows:
             fh.write(",".join(map(format_value, row.values())) + "\n")
+    columns = [c.name for c in fields(RateFit)]
     with open(os.path.join(out, "rates.csv"), "w", newline="") as fh:
-        fh.write("quantity,slope,intercept,r_squared\n")
+        fh.write(",".join(["quantity", *columns]) + "\n")
         for name, fit in report.fits.items():
-            values = (math.nan,) * 3 if fit is None else astuple(fit)
+            values = (getattr(fit, c, float("nan")) for c in columns)  # nan if None
             fh.write(",".join([name, *map(format_value, values)]) + "\n")
     save_field_csv(report.q_star_result.field, os.path.join(out, "q_star.csv"))
     for i, res in enumerate(report.results_by_l.values()):

@@ -26,6 +26,7 @@ from .fields import (
     TensorField,
     dirichlet_energy,
     bulk_energy,
+    format_value,
     laplacian_array,
     poisson_dirichlet,
 )
@@ -97,7 +98,7 @@ class SolveResult:
 
 def _emit(log, cfg: SolveConfig, i: int, e: float, res: float, dt: float) -> None:
     if log is not None and cfg.log_every > 0 and i % cfg.log_every == 0:
-        log(f"iter={i} energy={e:.17g} residual={res:.6e} dt={dt:.6e}")
+        log(f"iter={i} energy={format_value(e)} residual={res:.6e} dt={dt:.6e}")
 
 
 def _monotone_flow(

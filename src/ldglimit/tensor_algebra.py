@@ -141,10 +141,10 @@ def poly_min(q: np.ndarray, s_plus: float) -> np.ndarray:
     return q @ q - (s_plus / 3.0) * q - (2.0 / 9.0) * s_plus**2 * I3
 
 
-# matrices per pass of eigh_descending and of the identity suite's checks:
-# the temporaries of one block are 64 KB each, so the few dozen alive at a
-# time fit a 2 MiB L2 cache (at 1e5 matrices one pass took 1.3x as long as
-# blocks of 4096-16384, the suite 1.25x)
+# matrices per pass of eigh_descending (64 KiB per-component temporaries)
+# and the identity suite ((8192, 3, 3) temporaries, 576 KiB): at 1e5, blocks
+# of 2048-16384 timed alike within noise (suite 0.56-0.85 s, eigh 41-61 ms,
+# best of 5, one thread, 2-vCPU Xeon), one whole pass 1.3-1.6x slower
 CACHE_BLOCK = 8192
 
 

@@ -3,6 +3,7 @@ numpy-free import and the names the benchmark traces."""
 
 import dataclasses
 import importlib.util
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ import pytest
 import ldglimit
 from ldglimit.cli import main
 from ldglimit.config import ExperimentConfig, load_config, parse_config
+from ldglimit.fields import format_value
 from ldglimit.solvers import SolveConfig
 
 from conftest import tiny_config
@@ -250,6 +252,36 @@ def test_cli_sweep_writes_artifacts(tmp_path, capsys):
     text = (out / "sweep.csv").read_text().splitlines()
     assert len(text) == 1 + len(cfg.l_ladder)
     assert "rate" in capsys.readouterr().out
+
+
+def test_every_written_number_is_in_the_one_format(tmp_path, capsys):
+    """Every number of the saved config, a sweep's sweep.csv, rates.csv
+    and field CSVs and a solve's field CSV, and every energy= of the
+    iteration log, the sweep log and the solve line, reads back as
+    fields.format_value writes it."""
+    cfg = tiny_config(log_every=1)
+    cfg_path = tmp_path / "run.cfg"
+    cfg.save(cfg_path)
+    out, ldg = tmp_path / "sweep", tmp_path / "ldg"
+    assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert main(["solve-ldg", "--config", str(cfg_path), "--out", str(ldg)]) == 0
+    stdout = capsys.readouterr().out
+    energies = re.findall(r"\benergy=(\S+)", stdout)
+    solve_lines = re.findall(r"^converged=.* energy=", stdout, re.MULTILINE)
+    assert len(re.findall(r"^iter=", stdout, re.MULTILINE)) > 10
+    assert len(solve_lines) == 1
+    files = [cfg_path, *sorted(out.iterdir()), ldg / "q_l.csv"]
+    assert len(files) == 1 + (3 + len(cfg.l_ladder)) + 1
+    numbers = []
+    for path in files:
+        for token in re.split(r"[,=\s]+", path.read_text()):
+            try:
+                numbers.append((token, float(token)))
+            except ValueError:  # a key, a word or a column name
+                pass
+    assert len(numbers) > 10000
+    numbers += [(e, float(e)) for e in energies]  # each must parse
+    assert [t for t, x in numbers if format_value(x) != t] == []
 
 
 def test_cli_corrector_hedgehog(tmp_path, capsys):

@@ -271,30 +271,45 @@ def test_csv_round_trip(tmp_path, rng):
     assert path.read_bytes() == path2.read_bytes()
 
 
-# each edit of a saved (4, 3, 5) field's lines: three comment/header lines,
-# then 6 first-axis planes of 5 * 7 = 35 rows
+# each edit of a saved (4, 3, 5) field's lines (three comment/header lines,
+# then 6 first-axis planes of 5 * 7 = 35 rows) and the error it must raise
 _CSV_DAMAGE = {
-    "last row dropped": lambda lines: lines[:-1],
-    "last plane cut to one row": lambda lines: lines[:3 + 5 * 35 + 1],
-    "one extra row": lambda lines: lines + lines[-1:],
-    "wrong column header": lambda lines: (
-        lines[:2] + [lines[2].replace("Q12", "Q33")] + lines[3:]
+    "last row dropped": (lambda lines: lines[:-1], "plane 5 has 34 of 35 rows"),
+    "last plane cut to one row": (
+        lambda lines: lines[:3 + 5 * 35 + 1], "plane 5 has 1 of 35 rows"
+    ),
+    "one extra row": (lambda lines: lines + lines[-1:], "follow the last plane"),
+    "wrong column header": (
+        lambda lines: lines[:2] + [lines[2].replace("Q12", "Q33")] + lines[3:],
+        "column header",
+    ),
+    "empty file": (lambda lines: [], "line 1 is not '# dims='"),
+    "dims line without '='": (
+        lambda lines: [lines[0].replace("=", " ")] + lines[1:],
+        "line 1 is not '# dims='",
+    ),
+    "box line with five numbers": (
+        lambda lines: lines[:1] + [lines[1].rsplit(",", 1)[0] + "\n"] + lines[2:],
+        "line 2 is not '# box=' and 6",
     ),
 }
 
 
 @pytest.mark.parametrize("damage", sorted(_CSV_DAMAGE))
 def test_csv_reader_rejects_malformed_files(tmp_path, rng, damage):
-    """A file the writer cannot have written raises instead of loading: a
-    short plane, surplus rows, or columns named other than CSV_HEADER."""
+    """A file the writer cannot have written raises a ValueError that says
+    what is wrong instead of loading: an empty file or a malformed dims or
+    box line, columns named other than CSV_HEADER, a short plane, or
+    surplus rows."""
     grid = small_grid(dims=(4, 3, 5))
     path = tmp_path / "field.csv"
     f = TensorField(grid, qtensor(rng.normal(size=grid.shape + (3, 3))))
     save_field_csv(f, path)
     lines = path.read_text().splitlines(keepends=True)
     assert len(lines) == 3 + 6 * 35
-    path.write_text("".join(_CSV_DAMAGE[damage](lines)))
-    with pytest.raises(ValueError):
+    edit, message = _CSV_DAMAGE[damage]
+    path.write_text("".join(edit(lines)))
+    with pytest.raises(ValueError, match=message):
         load_field_csv(path)
 
 

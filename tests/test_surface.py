@@ -17,8 +17,8 @@ CALLERS = SRC + sorted((ROOT / "perfbench").glob("*.py")) + [
 
 # public definitions kept without a caller or reader, each with its reason
 ALLOWED = {
-    "asymptotics.corrector_b_residual": "ROADMAP item 5",
-    "solvers.SolveResult.backtracks": "ROADMAP item 2, step 2 (sweep.csv backtracks)",
+    "asymptotics.corrector_b_residual": "ROADMAP item 1 (solve b and report it)",
+    "solvers.SolveResult.backtracks": "ROADMAP item 3, step 2 (sweep.csv backtracks)",
 }
 # (module, name) imports kept unused, each with its reason
 UNUSED_IMPORTS_ALLOWED = {
