@@ -148,7 +148,9 @@ def _dispatch(args, cfg) -> int:
             cfg, log=log, center_exclusion=args.center_exclusion
         )
         for key, value in rep.items():
-            print(f"{key}={value}")
+            if isinstance(value, list):  # bracketed as repr() shows a list
+                value = "[" + ", ".join(map(format_value, value)) + "]"
+            print(f"{key}={format_value(value)}")
         return 0
 
     raise AssertionError(f"unhandled command {args.command!r}")

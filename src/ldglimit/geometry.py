@@ -1,7 +1,7 @@
 """Geometry of the uniaxial limit manifold inside the traceless symmetric
 matrices: membership, the batched nearest-point projection, the normal part
-of the tangent/normal splitting, second fundamental form, and the equivalent
-harmonic-map right-hand sides.
+of the tangent/normal splitting, second fundamental form, the equivalent
+harmonic-map right-hand sides, and the one suite of their identities.
 """
 
 from __future__ import annotations
@@ -156,38 +156,59 @@ def harmonic_rhs_array(
 
 
 def check_identities(
-    x: np.ndarray,
-    y: np.ndarray,
-    z: np.ndarray,
-    q: np.ndarray,
-    p: MaterialParams,
+    x: np.ndarray, y: np.ndarray, z: np.ndarray, q: np.ndarray, p: MaterialParams
 ) -> dict[str, float]:
-    """Residuals of the algebraic tangent/normal identities at manifold
-    points q.
-
-    Broadcasts over leading axes and reports the maximum over the batch.
-    Diagnostic only: invalid inputs simply produce large residuals.
-    """
+    """Max residuals over the batch, each reduced as soon as it is formed,
+    of the manifold identities at manifold points q with tangent directions
+    x, y and a normal direction z: membership, projection, tangency,
+    normality, splitting, the tangent/normal algebra, curvature and the
+    harmonic right-hand-side forms.  Invalid inputs give large residuals, or
+    DegenerateSpectrum from the projection where q is too far off."""
     s = p.s_plus
+    out: dict[str, float] = {}
+
+    def record(name, r):
+        out[name] = float(np.max(r))
+
+    record("manifold_membership", norm(poly_min(q, s)))
+    # projection: recovers exact points, and is idempotent on perturbations
+    proj = project_array(q + 0.05 * s * (z / norm(z)[..., None, None]), p)
+    record("projection_idempotent", norm(project_array(proj, p) - proj))
+    # tangency / normality characterizations
+    record("tangency", tangency_residual(x, q, s))
+    record("normality", normality_residual(z, q))
+    # splitting: tangents have zero normal part, normals are fixed
+    record("split_tangent", norm(normal_component(x, q, s)))
+    record("split_normal", norm(normal_component(z, q, s) - z))
+    # algebraic identities for tangent pairs and normal vectors
     xy = anticomm(x, y)
     trxy = frobenius(x, y)
     t = trxy[..., None, None]
+    xyq = xy @ q
+    record("trace_product", np.abs(np.trace(xyq, axis1=-2, axis2=-1) - s / 3.0 * trxy))
+    record("anticomm_product", norm(xyq + (s / 3.0) * xy - t * q - (s / 3.0) * t * I3))
     p1 = q / s + I3 / 3.0
     k = frobenius(q, z) / s + np.trace(z, axis1=-2, axis2=-1) / 3.0
+    record("rank_one_projector", norm(p1 @ z - k[..., None, None] * p1))
+    record("tangent_pair_is_normal", norm(comm(xy, q)))
+    record("normal_pair_is_normal", norm(comm(anticomm(z, z), q)))
     xz = anticomm(x, z)
-    residuals = {
-        "trace_product": np.abs(
-            np.trace(xy @ q, axis1=-2, axis2=-1) - (s / 3.0) * trxy
-        ),
-        "anticomm_product": norm(
-            xy @ q + (s / 3.0) * xy - t * q - (s / 3.0) * t * I3
-        ),
-        "rank_one_projector": norm(p1 @ z - k[..., None, None] * p1),
-        "tangent_pair_is_normal": norm(comm(xy, q)),
-        "normal_pair_is_normal": norm(comm(anticomm(z, z), q)),
-        "mixed_pair_is_tangent": norm((s / 3.0) * xz - anticomm(xz, q)),
-    }
-    return {name: float(np.max(r)) for name, r in residuals.items()}
+    record("mixed_pair_is_tangent", norm((s / 3.0) * xz - anticomm(xz, q)))
+    # curvature term is normal
+    record("curvature_is_normal", norm(comm(second_fundamental_form(x, y, q, s), q)))
+    # closed-form curvature vs centered second difference, step h, of the
+    # projected curve t -> project(q + t x)
+    h = 1e-3
+    xhat = x / norm(x)[..., None, None]
+    qp, qm = project_array(q + h * xhat, p), project_array(q - h * xhat, p)
+    ii_fd = (qp - 2.0 * q + qm) / h**2
+    record("curvature_fd", norm(second_fundamental_form(xhat, xhat, q, s) - ii_fd))
+    # the harmonic right-hand-side forms coincide for tangential gradients
+    gsq = x @ x + y @ y
+    r4 = harmonic_rhs_array(q, gsq, s, form="iv")
+    record("rhs_forms_ii_iv", norm(harmonic_rhs_array(q, gsq, s, form="ii") - r4))
+    record("rhs_forms_iii_iv", norm(harmonic_rhs_array(q, gsq, s, form="iii") - r4))
+    return out
 
 
 def tangent_basis(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -50,3 +50,31 @@ def test_summary_skips_pairs_without_the_metric():
     pairs[1]["change"]["metrics"] = {}
     assert bench_pairs.summarize(pairs, RSS)["n"] == 1
     assert bench_pairs.summarize(pairs[1:], RSS) == {"n": 0}
+
+
+def test_solve_s_is_wall_minus_setup_with_no_bound_verdict():
+    walls = {"parent": [1.0, 1.5], "change": [0.75, 0.5]}
+    setups = {"parent": [0.25, 0.5], "change": [0.25, 0.25]}
+    pairs = [
+        {side: {"metrics": {"wall_s": {"value": walls[side][i]},
+                            "setup_s": {"value": setups[side][i]}}}
+         for side in walls}
+        for i in range(2)
+    ]
+    for pair in pairs:
+        for side in pair.values():
+            bench_pairs.add_solve_s(side["metrics"])
+    assert [p["parent"]["metrics"]["solve_s"]["value"] for p in pairs] == [0.75, 1.0]
+    assert [p["change"]["metrics"]["solve_s"]["value"] for p in pairs] == [0.5, 0.25]
+    s = bench_pairs.summarize(pairs, bench_pairs.SOLVE_S)
+    assert s["parent"]["median"] == 0.875 and s["change"]["median"] == 0.375
+    assert (s["change_better_pairs"], s["change_worse_pairs"]) == (2, 0)
+    assert s["median_gap"] == -0.5
+    # the fields of a bounded metric, less the bound and its verdict
+    wall = bench_pairs.summarize(pairs, {**bench_pairs.SOLVE_S, "name": "wall_s",
+                                         "bound": 0.25})
+    assert set(wall) - set(s) == {"bound", "within_bound"}
+    # an invocation that did not report both terms gets no solve_s
+    metrics = {"wall_s": {"value": 1.0}}
+    bench_pairs.add_solve_s(metrics)
+    assert "solve_s" not in metrics

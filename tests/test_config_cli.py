@@ -256,16 +256,26 @@ def test_cli_sweep_writes_artifacts(tmp_path, capsys):
 
 def test_every_written_number_is_in_the_one_format(tmp_path, capsys):
     """Every number of the saved config, a sweep's sweep.csv, rates.csv
-    and field CSVs and a solve's field CSV, and every energy= of the
-    iteration log, the sweep log and the solve line, reads back as
+    and field CSVs and a solve's field CSV, every energy= of the iteration
+    log, the sweep log and the solve line, and every number of a
+    near-constant and a hedgehog corrector report, reads back as
     fields.format_value writes it."""
     cfg = tiny_config(log_every=1)
-    cfg_path = tmp_path / "run.cfg"
+    cfg_path, hh_path = tmp_path / "run.cfg", tmp_path / "hedgehog.cfg"
     cfg.save(cfg_path)
+    hedgehog = tiny_config(boundary="hedgehog", box_lo=-1.0, box_hi=1.0, dims=(8, 8, 8))
+    hedgehog.save(hh_path)
     out, ldg = tmp_path / "sweep", tmp_path / "ldg"
     assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
     assert main(["solve-ldg", "--config", str(cfg_path), "--out", str(ldg)]) == 0
+    for path in (cfg_path, hh_path):
+        assert main(["corrector", "--config", str(path)]) == 0
     stdout = capsys.readouterr().out
+    # the corrector reports: its lists keep repr()'s brackets and separators
+    listed = re.findall(r"^(?:ls|a_err_interior)=\[(.*)\]$", stdout, re.MULTILINE)
+    scalars = re.findall(r"^(?:h|max_err|sup_a|nodes)=(.*)$", stdout, re.MULTILINE)
+    reported = [t for line in listed for t in line.split(", ")] + scalars
+    assert len(listed) == 2 and len(reported) == 2 * len(cfg.l_ladder) + 4
     energies = re.findall(r"\benergy=(\S+)", stdout)
     solve_lines = re.findall(r"^converged=.* energy=", stdout, re.MULTILINE)
     assert len(re.findall(r"^iter=", stdout, re.MULTILINE)) > 10
@@ -280,7 +290,7 @@ def test_every_written_number_is_in_the_one_format(tmp_path, capsys):
             except ValueError:  # a key, a word or a column name
                 pass
     assert len(numbers) > 10000
-    numbers += [(e, float(e)) for e in energies]  # each must parse
+    numbers += [(t, float(t)) for t in energies + reported]  # each must parse
     assert [t for t, x in numbers if format_value(x) != t] == []
 
 

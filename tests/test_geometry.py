@@ -25,6 +25,7 @@ from ldglimit.geometry import (
     tangent_basis_s0,
     uniaxial,
 )
+from ldglimit.runner import CHECK_TOLERANCES
 from ldglimit.tensor_algebra import (
     I3,
     comm,
@@ -310,18 +311,31 @@ def test_check_identities_valid_and_mutated(rng, unit_params):
     y = -1.1 * t1 + 0.4 * t2
     z = 0.5 * z1 + 0.3 * z2 - 0.8 * z3
     res = check_identities(x, y, z, q, p)
-    assert set(res) == {
+    # the whole suite, in the order the identity suite reports it
+    assert list(res) == [
+        "manifold_membership",
+        "projection_idempotent",
+        "tangency",
+        "normality",
+        "split_tangent",
+        "split_normal",
         "trace_product",
         "anticomm_product",
         "rank_one_projector",
         "tangent_pair_is_normal",
         "normal_pair_is_normal",
         "mixed_pair_is_tangent",
-    }
-    assert max(res.values()) < 1e-12
+        "curvature_is_normal",
+        "curvature_fd",
+        "rhs_forms_ii_iv",
+        "rhs_forms_iii_iv",
+    ]
+    for name, value in res.items():
+        assert value < CHECK_TOLERANCES.get(name, 1e-12), name
     # swapping tangent and normal inputs must blow the residuals up
     bad = check_identities(z, z, x, q, p)
     assert max(bad.values()) > 1e-3
+    assert bad["curvature_fd"] > 1e2 * CHECK_TOLERANCES["curvature_fd"]
 
     # over a batch of base points the result is the per-point maximum
     n = random_directors(rng, 64)

@@ -11,6 +11,7 @@ from ldglimit import geometry, runner, tensor_algebra
 from ldglimit.geometry import MaterialParams, grad_squared, harmonic_rhs_array
 from ldglimit.fields import (
     GridSpec,
+    format_value,
     gradient_array,
     laplacian_array,
     load_field_csv,
@@ -184,6 +185,24 @@ def test_run_sweep_single_l_yields_degenerate_fits():
     report = run_sweep(cfg, log=logs.append, write=False)
     assert all(fit is None for fit in report.fits.values())
     assert any("degenerate" in line for line in logs)
+
+
+def test_run_sweep_warns_on_rungs_stopped_on_max_iters():
+    """A rung that runs out of iterations is named in the log, with the
+    residual it stopped at; a sweep whose rungs converge logs no such
+    warning."""
+    logs = []
+    report = run_sweep(tiny_config(dims=(8, 8, 8), max_iters=1), log=logs.append,
+                       write=False)
+    warned = [line for line in logs if line.startswith("warning: rung")]
+    assert warned == [
+        f"warning: rung L={format_value(L)} stopped on max_iters "
+        f"at residual {res.el_residual:.6e}"
+        for L, res in report.results_by_l.items()
+    ]
+    logs.clear()
+    run_sweep(tiny_config(), log=logs.append, write=False)
+    assert not any(line.startswith("warning: rung") for line in logs)
 
 
 def test_run_sweep_eps_zero_yields_degenerate_fits(tmp_path):

@@ -20,6 +20,12 @@ change stays within the metric's regression bound (a fraction of the
 parent's median).  ``--trace WORKLOAD:SEED`` adds one ``--trace 1``
 invocation per side and reports the ``--layer`` metrics of each.
 
+Each side of each pair also gets a derived ``solve_s = wall_s - setup_s``,
+the time after the inputs are ready, summarized next to ``wall_s`` with the
+same fields but with no bound verdict: both terms are minima over the same
+runs of one invocation, not always of the same run, so ``solve_s`` is an
+estimate of the solve phase, not a measured value.
+
 The output file is rewritten after every pair, so a cut run keeps what it
 measured.  Standard library only; the trees need not be git checkouts
 (each side records perfbench's provenance: commit, source digest, host).
@@ -58,6 +64,18 @@ _HOST_KEYS = ("git_sha", "src_sha256", "python", "numpy", "blas", "cpu_model",
               "nproc", "caches")
 
 
+# summarized like an end-to-end metric, with no bound (see the module docstring)
+SOLVE_S = {"name": "solve_s", "unit": "s", "better": "lower"}
+
+
+def add_solve_s(metrics: dict) -> None:
+    """Add the derived solve_s = wall_s - setup_s to one invocation's
+    metrics, when it reported both."""
+    if "wall_s" in metrics and "setup_s" in metrics:
+        value = metrics["wall_s"]["value"] - metrics["setup_s"]["value"]
+        metrics["solve_s"] = {"value": value, "unit": "s"}
+
+
 def _quartiles(xs: list[float]) -> list[float]:
     if len(xs) < 2:
         return [xs[0], xs[0]] if xs else []
@@ -66,7 +84,8 @@ def _quartiles(xs: list[float]) -> list[float]:
 
 
 def summarize(pairs: list[dict], metric: dict) -> dict:
-    """One end-to-end metric over the pairs in which both sides reported it."""
+    """One end-to-end metric over the pairs in which both sides reported it;
+    the bound verdict only for a metric that declares a bound."""
     name, sign = metric["name"], (1.0 if metric["better"] == "lower" else -1.0)
     both = [(p["parent"]["metrics"][name]["value"], p["change"]["metrics"][name]["value"])
             for p in pairs
@@ -80,7 +99,7 @@ def summarize(pairs: list[dict], metric: dict) -> dict:
     iqr = pq[1] - pq[0]
     better = sum(1 for a, b in both if sign * (a - b) > 0)
     worse = sum(1 for a, b in both if sign * (b - a) > 0)
-    return {
+    out = {
         "unit": metric["unit"],
         "better": metric["better"],
         "n": len(both),
@@ -91,13 +110,19 @@ def summarize(pairs: list[dict], metric: dict) -> dict:
         "median_gap": gap,
         "parent_iqr": iqr,
         "gain": better >= 0.9 * len(both) and sign * -gap > iqr,
-        "bound": metric["bound"],
-        "within_bound": sign * gap <= metric["bound"] * abs(pm),
     }
+    if "bound" in metric:
+        out["bound"] = metric["bound"]
+        out["within_bound"] = sign * gap <= metric["bound"] * abs(pm)
+    return out
 
 
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap = argparse.ArgumentParser(
+        description=__doc__.splitlines()[0],
+        epilog="solve_s = wall_s - setup_s is derived per side and reported next "
+               "to wall_s without a bound verdict: both terms are minima over the "
+               "same runs, not always of the same run.")
     ap.add_argument("--parent", type=Path, required=True, help="parent source tree")
     ap.add_argument("--change", type=Path, required=True, help="change source tree")
     ap.add_argument("--run", action="append", required=True,
@@ -114,6 +139,9 @@ def main(argv=None) -> int:
 
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
+    summarized = []
+    for m in spec["end_to_end"]:
+        summarized += [m, SOLVE_S] if m["name"] == "wall_s" else [m]
     runs = []
     for item in args.run:
         workload, seed, n = item.split(":")
@@ -142,6 +170,7 @@ def main(argv=None) -> int:
                 t0 = time.monotonic()
                 pair[side] = invoke(trees[side], workload, seed, args.seconds, 0)
                 pair[side]["invocation_s"] = round(time.monotonic() - t0, 1)
+                add_solve_s(pair[side]["metrics"])
                 # what the tree's sources and the host were, as perfbench saw them
                 prov = pair[side].pop("provenance", None)
                 if prov and "provenance" not in doc["trees"][side]:
@@ -153,7 +182,7 @@ def main(argv=None) -> int:
             # invocations that crashed or printed no result line
             group["broken"] = {s: sum(p[s]["rc"] != 0 or "error" in p[s] for p in pairs)
                                for s in trees}
-            group["summary"] = {m["name"]: summarize(pairs, m) for m in spec["end_to_end"]}
+            group["summary"] = {m["name"]: summarize(pairs, m) for m in summarized}
             write()
             print(f"{workload} seed {seed} pair {i + 1}/{n}: " + ", ".join(
                 f"{m} {pair['parent']['metrics'].get(m, {}).get('value')} -> "
