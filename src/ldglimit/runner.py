@@ -56,17 +56,20 @@ CHECK_TOLERANCES = {"curvature_fd": 1e-4}
 
 
 def run_check_geometry(
-    seed: int = 0, trials: int = 10000, tol: float = 1e-10
+    seed: int = 0, trials: int = 10000, tol: float = 1e-10, log=None
 ) -> tuple[bool, dict[str, float]]:
     """Max residuals of the manifold-geometry identities over random trials,
     at unit material constants, each compared against tol (per-check
-    overrides in CHECK_TOLERANCES).
+    overrides in CHECK_TOLERANCES); returns (all passed, residuals).  With
+    log, each check's residual and verdict is logged, in name order.
 
     All random inputs are drawn first, so the results do not depend on
     the block size (tensor_algebra.CACHE_BLOCK) the checks run in.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if not 0.0 <= tol < np.inf:  # NaN fails
+        raise ValueError("tol must be finite and nonnegative")
     p = MaterialParams(a2=1.0, b2=1.0, c2=1.0)
     rng = np.random.default_rng(seed)
 
@@ -87,8 +90,12 @@ def run_check_geometry(
         blocks.append(check_identities(x, y, z, uniaxial(n[b], p.s_plus), p))
     # np.max, unlike max(), keeps a NaN residual
     results = {name: float(np.max([r[name] for r in blocks])) for name in blocks[0]}
-    ok = all(v <= CHECK_TOLERANCES.get(name, tol) for name, v in results.items())
-    return ok, results
+    passed = {name: v <= CHECK_TOLERANCES.get(name, tol) for name, v in results.items()}
+    if log is not None:
+        for name in sorted(results):
+            verdict = "ok" if passed[name] else "FAIL"
+            log(f"{name}: max_residual={results[name]:.3e} [{verdict}]")
+    return all(passed.values()), results
 
 
 def hedgehog_corrector_exact(grid: GridSpec, p: MaterialParams) -> np.ndarray:
@@ -120,10 +127,13 @@ def run_corrector(
     interior deviation of the empirical normal part from the closed-form
     corrector.  There is no center to exclude.
 
-    Raises ValueError, before any work, when center_exclusion is given in
-    near_constant mode, or when in hedgehog mode no interior node lies at
-    distance >= center_exclusion from the center.
+    Raises ValueError, before any work, when center_exclusion is negative
+    or not finite, when it is given in near_constant mode, or when in
+    hedgehog mode no interior node lies at distance >= center_exclusion
+    from the center.
     """
+    if center_exclusion is not None and not 0.0 <= center_exclusion < np.inf:
+        raise ValueError("center_exclusion must be finite and nonnegative")
     if cfg.boundary != "hedgehog" and center_exclusion is not None:
         raise ValueError(
             f"center exclusion applies only to the hedgehog boundary, "
@@ -220,6 +230,12 @@ def run_solve(cfg: ExperimentConfig, command: str, log=None):
     return res, path
 
 
+def _warn_max_iters(log, what: str, res: SolveResult) -> None:
+    """Log that the solve of what ran out of iterations, and where."""
+    if log is not None and res.stop_reason == "max_iters":
+        log(f"warning: {what} stopped on max_iters at residual {res.el_residual:.6e}")
+
+
 def run_sweep(cfg: ExperimentConfig, log=None, write: bool = True) -> SweepReport:
     """Solve the harmonic limit once, then solve each rung of the L-ladder
     from the first-order expansion Q_* + L a (a the closed-form normal
@@ -235,6 +251,7 @@ def run_sweep(cfg: ExperimentConfig, log=None, write: bool = True) -> SweepRepor
     p0 = MaterialParams(cfg.a2, cfg.b2, cfg.c2, L=cfg.l_ladder[0])
     init = _boundary_field(cfg, grid, p0)
     star_res = solve_harmonic(init, p0, cfg, log=log)
+    _warn_max_iters(log, "q_star", star_res)
     q_star = star_res.field
     a_fd = corrector_a(q_star, p0)
 
@@ -265,11 +282,7 @@ def run_sweep(cfg: ExperimentConfig, log=None, write: bool = True) -> SweepRepor
         results[L] = res
         if log is not None:
             log(" ".join(f"{k}={format_value(v)}" for k, v in row.items()))
-            if res.stop_reason == "max_iters":
-                log(
-                    f"warning: rung L={format_value(L)} stopped on max_iters "
-                    f"at residual {res.el_residual:.6e}"
-                )
+        _warn_max_iters(log, f"rung L={format_value(L)}", res)
 
     if log is not None:
         # the O(h^2) consistency residual of the centered-gradient harmonic

@@ -78,3 +78,33 @@ def test_solve_s_is_wall_minus_setup_with_no_bound_verdict():
     metrics = {"wall_s": {"value": 1.0}}
     bench_pairs.add_solve_s(metrics)
     assert "solve_s" not in metrics
+
+
+def _counts(parent, change):
+    """Pairs with each side's (attempted, failed) operations."""
+    return [
+        {"parent": {"attempted": pa, "failed": pf},
+         "change": {"attempted": ca, "failed": cf}}
+        for (pa, pf), (ca, cf) in zip(parent, change)
+    ]
+
+
+@pytest.mark.parametrize("parent, change, shares, more", [
+    # no failure on either side
+    ([(4, 0), (4, 0)], [(4, 0), (4, 0)], (0.0, 0.0), False),
+    # one failure in 8 against none: the change fails a larger share
+    ([(4, 0), (4, 0)], [(4, 1), (4, 0)], (0.0, 0.125), True),
+    # more failures, but over more attempts: a smaller share
+    ([(4, 1), (4, 1)], [(8, 1), (8, 2)], (0.25, 0.1875), False),
+    # a side that attempted nothing has no share, and counts as none failed
+    ([(0, 0), (0, 0)], [(2, 1), (0, 0)], (None, 0.5), True),
+    ([(2, 1), (0, 0)], [(0, 0), (0, 0)], (0.5, None), False),
+])
+def test_failure_counts_compare_failed_shares(parent, change, shares, more):
+    out = bench_pairs.failure_counts(_counts(parent, change))
+    assert out["attempted"] == {"parent": sum(a for a, _ in parent),
+                                "change": sum(a for a, _ in change)}
+    assert out["failed"] == {"parent": sum(f for _, f in parent),
+                             "change": sum(f for _, f in change)}
+    assert (out["failed_share"]["parent"], out["failed_share"]["change"]) == shares
+    assert out["more_failed"] is more

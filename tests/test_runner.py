@@ -26,6 +26,7 @@ from ldglimit.runner import (
     run_corrector,
     run_sweep,
 )
+from ldglimit.cli import main
 from ldglimit.errors import CenterOnBoundary
 from ldglimit.solvers import SolveResult
 from ldglimit.tensor_algebra import I3, norm
@@ -41,6 +42,39 @@ def test_geometry_suite_passes():
     # an empty suite is refused, not passed
     with pytest.raises(ValueError):
         run_check_geometry(seed=0, trials=0)
+
+
+@pytest.mark.parametrize("tol", [-0.5, float("nan"), float("inf")])
+def test_geometry_suite_refuses_bad_tol_before_drawing(monkeypatch, tol):
+    """A negative or non-finite tolerance is refused before any trial is
+    drawn (NaN would fail every check, inf pass every one)."""
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew trials before checking tol")
+
+    monkeypatch.setattr(runner.np.random, "default_rng", no_draw)
+    with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+        run_check_geometry(seed=0, trials=10, tol=tol)
+
+
+def test_geometry_suite_logs_each_verdict(capsys):
+    """At tol 1e-15, with the CLI's default seed and trials, the verdicts
+    are mixed; each check's logged verdict is its residual against its own
+    tolerance, in name order, and the CLI prints exactly these lines above
+    its summary."""
+    tol, lines = 1e-15, []
+    ok, results = run_check_geometry(seed=0, trials=10000, tol=tol, log=lines.append)
+    assert not ok
+    assert lines == [
+        f"{name}: max_residual={value:.3e} "
+        f"[{'ok' if value <= CHECK_TOLERANCES.get(name, tol) else 'FAIL'}]"
+        for name, value in sorted(results.items())
+    ]
+    passed = {line.split(":")[0] for line in lines if line.endswith("[ok]")}
+    assert passed == {"curvature_fd", "normality", "tangency"}
+    assert len(lines) - len(passed) == 13
+    assert main(["check-geometry", "--tol", "1e-15"]) == 1
+    summary = "geometry suite: FAIL (10000 trials, tol 1e-15)"
+    assert capsys.readouterr().out.splitlines() == lines + [summary]
 
 
 def test_geometry_suite_is_deterministic(monkeypatch):
@@ -109,6 +143,23 @@ def test_run_corrector_checks_exclusion_before_center():
         run_corrector(cfg, center_exclusion=100.0)
     with pytest.raises(CenterOnBoundary):
         run_corrector(cfg, center_exclusion=0.3)
+
+
+@pytest.mark.parametrize("exclusion", [-1.0, float("nan")])
+def test_run_corrector_refuses_bad_exclusion_before_any_work(monkeypatch,
+                                                              exclusion):
+    """A negative or NaN exclusion radius is refused before the distances
+    are formed or any field is built (a negative one was accepted, and NaN
+    reported that it left no interior node)."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("worked before checking center_exclusion")
+
+    for name in ("center_offsets", "boundary_hedgehog", "run_sweep"):
+        monkeypatch.setattr(runner, name, no_work)
+    cfg = tiny_config(boundary="hedgehog", box_lo=-1.0, box_hi=1.0,
+                      dims=(8, 8, 8))
+    with pytest.raises(ValueError, match="center_exclusion must be finite"):
+        run_corrector(cfg, center_exclusion=exclusion)
 
 
 def test_run_corrector_near_constant_mode():
@@ -203,6 +254,23 @@ def test_run_sweep_warns_on_rungs_stopped_on_max_iters():
     logs.clear()
     run_sweep(tiny_config(), log=logs.append, write=False)
     assert not any(line.startswith("warning: rung") for line in logs)
+
+
+def test_run_sweep_warns_when_q_star_stopped_on_max_iters():
+    """A limit solve that runs out of iterations is named in the log, with
+    its residual, as soon as it returns and before any rung is solved from
+    it; a sweep whose solves converge logs no warning."""
+    logs = []
+    report = run_sweep(tiny_config(dims=(8, 8, 8), max_iters=1), log=logs.append,
+                       write=False)
+    star = report.q_star_result
+    assert star.stop_reason == "max_iters"
+    assert logs[0] == (
+        f"warning: q_star stopped on max_iters at residual {star.el_residual:.6e}"
+    )
+    logs.clear()
+    run_sweep(tiny_config(), log=logs.append, write=False)
+    assert not any(line.startswith("warning:") for line in logs)
 
 
 def test_run_sweep_eps_zero_yields_degenerate_fits(tmp_path):

@@ -26,6 +26,10 @@ same fields but with no bound verdict: both terms are minima over the same
 runs of one invocation, not always of the same run, so ``solve_s`` is an
 estimate of the solve phase, not a measured value.
 
+Each group also sums the operations each side attempted and failed, gives
+each side's failed share (``None`` when it attempted none), and sets
+``more_failed`` when the change failed a larger share than the parent.
+
 The output file is rewritten after every pair, so a cut run keeps what it
 measured.  Standard library only; the trees need not be git checkouts
 (each side records perfbench's provenance: commit, source digest, host).
@@ -74,6 +78,19 @@ def add_solve_s(metrics: dict) -> None:
     if "wall_s" in metrics and "setup_s" in metrics:
         value = metrics["wall_s"]["value"] - metrics["setup_s"]["value"]
         metrics["solve_s"] = {"value": value, "unit": "s"}
+
+
+def failure_counts(pairs: list[dict]) -> dict:
+    """Each side's attempted and failed operations over the pairs, its failed
+    share (None when it attempted none, which the comparison reads as 0),
+    and whether the change's share is the larger."""
+    out = {key: {s: sum(p[s][key] for p in pairs) for s in ("parent", "change")}
+           for key in ("attempted", "failed")}
+    out["failed_share"] = {s: out["failed"][s] / n if n else None
+                           for s, n in out["attempted"].items()}
+    share = out["failed_share"]
+    out["more_failed"] = (share["change"] or 0.0) > (share["parent"] or 0.0)
+    return out
 
 
 def _quartiles(xs: list[float]) -> list[float]:
@@ -177,8 +194,7 @@ def main(argv=None) -> int:
                     doc["trees"][side]["provenance"] = {k: prov.get(k) for k in _HOST_KEYS}
             group["pairs"].append(pair)
             pairs = group["pairs"]
-            group["attempted"] = {s: sum(p[s]["attempted"] for p in pairs) for s in trees}
-            group["failed"] = {s: sum(p[s]["failed"] for p in pairs) for s in trees}
+            group.update(failure_counts(pairs))
             # invocations that crashed or printed no result line
             group["broken"] = {s: sum(p[s]["rc"] != 0 or "error" in p[s] for p in pairs)
                                for s in trees}
