@@ -78,11 +78,6 @@ class RateFit:
     r_squared: float
 
 
-def _coupling(p: MaterialParams) -> float:
-    """The recurring constant 6 / (6 a2 + b2 s_+)."""
-    return 6.0 / (6.0 * p.a2 + p.b2 * p.s_plus)
-
-
 def compute_xyz(q_l: TensorField, p: MaterialParams) -> DiagnosticFields:
     """All pointwise diagnostics of a solved field at the interior nodes.
 
@@ -106,7 +101,7 @@ def _diagnostics(
     gradient gsq, and the harmonic right-hand side that z is built from."""
     s = p.s_plus
     gn2 = np.trace(gsq, axis1=-2, axis2=-1)
-    k = _coupling(p)
+    k = 2.0 / p.normal_stiffness[0]
 
     rhs = harmonic_rhs_array(q, gsq, s)
     x = poly_min(q, s) / p.L
@@ -145,7 +140,7 @@ def corrector_a(q_star: TensorField, p: MaterialParams) -> np.ndarray:
     the first slab (halo included) off the manifold raises NotOnManifold
     naming the "limit field", with the worst residual of those planes."""
     s = p.s_plus
-    k = _coupling(p)
+    k = 2.0 / p.normal_stiffness[0]
     out = np.empty(q_star.interior.shape)
     for lo, hi in plane_slabs(q_star.grid):
         v = q_star.values[lo:hi + 2]
@@ -206,7 +201,7 @@ def corrector_b_residual(
 
     rhs = (
         -p.b2 * (b_in @ a_in + a_in @ b_in)
-        - p.c2 * _coupling(p) * gn2[..., None, None] * b_in
+        - 2.0 * p.c2 / p.normal_stiffness[0] * gn2[..., None, None] * b_in
         + harmonic_rhs_array(q_in, cross, s, form="iii")
         - lap_a_tan
     )

@@ -50,6 +50,14 @@ class MaterialParams:
             4.0 * self.c2
         )
 
+    @property
+    def normal_stiffness(self) -> tuple[float, float]:
+        """(lam_u, lam_b): the bulk Hessian's eigenvalues normal to the
+        manifold, lam_u = 2 a2 + b2 s_+ / 3 on the uniaxial mode and
+        lam_b = b2 s_+ on the two biaxial ones; it is 0 on tangents."""
+        lam_b = self.b2 * self.s_plus
+        return 2.0 * self.a2 + lam_b / 3.0, lam_b
+
 
 def uniaxial(director: np.ndarray, s_plus: float) -> np.ndarray:
     """s_+ (n (x) n - I/3) for unit director(s) n of shape (..., 3), built

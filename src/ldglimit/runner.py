@@ -100,9 +100,9 @@ def run_check_geometry(
 
 def hedgehog_corrector_exact(grid: GridSpec, p: MaterialParams) -> np.ndarray:
     """Closed-form normal corrector of the hedgehog data Q_hh = s_+ (r^ (x)
-    r^ - I/3) about the box center, at interior nodes: -18 / ((6 a2 + b2
-    s_+) r^2) Q_hh.  Raises CenterOnBoundary, as boundary_hedgehog does,
-    when a node sits at the center."""
+    r^ - I/3) about the box center, at interior nodes: -6 / (lam_u r^2) Q_hh
+    (MaterialParams.normal_stiffness).  Raises CenterOnBoundary, as
+    boundary_hedgehog does, when a node sits at the center."""
     q_hh = boundary_hedgehog(grid, p).interior
     return _radial_corrector(q_hh, center_offsets(grid)[1][_IN, _IN, _IN], p)
 
@@ -110,7 +110,7 @@ def hedgehog_corrector_exact(grid: GridSpec, p: MaterialParams) -> np.ndarray:
 def _radial_corrector(q_hh, r2, p: MaterialParams) -> np.ndarray:
     """hedgehog_corrector_exact read off the hedgehog data q_hh at nodes of
     squared center distance r2."""
-    return q_hh * (-18.0 / ((6.0 * p.a2 + p.b2 * p.s_plus) * r2))[..., None, None]
+    return q_hh * (-6.0 / (p.normal_stiffness[0] * r2))[..., None, None]
 
 
 def run_corrector(

@@ -311,8 +311,7 @@ def solve_ldg(
 
     Pi_T the nodewise orthogonal projection onto the tangent space at the
     start's director, Pi_N = I - Pi_T, and sigma = sqrt(lam_b lam_u) / L,
-    lam_b = b2 s_+ and lam_u = 2 a2 + b2 s_+ / 3 the bulk Hessian's biaxial
-    and uniaxial stiffnesses normal to the manifold.  The bulk Hessian adds
+    (lam_u, lam_b) = MaterialParams.normal_stiffness.  The bulk Hessian adds
     about sigma on normal directions and nothing on tangent ones (the
     first-order term's algebraic normal part and linear tangential
     system), so smooth tangential modes are not slowed down as they are by
@@ -331,8 +330,8 @@ def solve_ldg(
     require_on_manifold(init.values[init.boundary_mask()], p.s_plus,
                         "boundary data")
     h = init.grid.h
-    sb = p.b2 * p.s_plus
-    sigma = float(np.sqrt(sb * (2.0 * p.a2 + sb / 3.0))) / p.L
+    lam_u, lam_b = p.normal_stiffness
+    sigma = float(np.sqrt(lam_b * lam_u)) / p.L
     start = TensorField(init.grid, to_s0(init.values))
     # shifted energy / L, per unit cell volume kept implicit
     e0 = 0.5 * dirichlet_energy(init) + bulk_energy(init, p) / p.L

@@ -30,6 +30,7 @@ from ldglimit.errors import (
 from ldglimit.fields import (
     GridSpec,
     TensorField,
+    boundary_hedgehog,
     boundary_near_constant,
     edge_grad_squared,
     gradient_array,
@@ -146,7 +147,6 @@ def test_corrector_a_constant_field_and_validation():
 
 
 def test_corrector_a_hedgehog_closed_form():
-    from ldglimit.fields import boundary_hedgehog
     from ldglimit.runner import hedgehog_corrector_exact
 
     p = make_params()
@@ -165,6 +165,38 @@ def test_corrector_a_hedgehog_closed_form():
 
     q_in = f.interior
     assert float(np.max(norm(comm(a, q_in))[mask])) < 0.2 * float(np.max(norm(a)[mask]))
+
+
+MATERIALS = [(1.0, 1.0, 1.0), (0.7, 1.3, 0.9), (2.5, 0.4, 3.1)]
+
+
+@pytest.mark.parametrize("data", ["default_q_star", "hedgehog_12"])
+@pytest.mark.parametrize("material", MATERIALS)
+def test_corrector_a_is_inverse_normal_hessian_of_harmonic_rhs(
+    sweep_report, data, material
+):
+    """On smooth data corrector_a is the paper's algebraic relation
+    a = H_N^{-1} F, F the harmonic right-hand side (the normal part of
+    lap Q*) and H_N^{-1} the inverse bulk Hessian normal to the manifold:
+    1/lam_b on the biaxial modes and 1/lam_u on the uniaxial mode Q*/|Q*|.
+    The solved default Q* is rescaled to each material's s_+, which keeps
+    it a harmonic map on that material's manifold."""
+    p = MaterialParams(*material, L=0.05)
+    s = p.s_plus
+    if data == "default_q_star":
+        cfg, q0 = sweep_report.config, sweep_report.q_star_result.field
+        s0 = MaterialParams(cfg.a2, cfg.b2, cfg.c2).s_plus
+        q_star = TensorField(q0.grid, q0.values * (s / s0))
+    else:
+        q_star = boundary_hedgehog(GridSpec(dims=(12,) * 3, box=((-1.0, 1.0),) * 3), p)
+    q = q_star.interior
+    gsq = grad_squared(gradient_array(q_star.values, q_star.grid.h))
+    f = harmonic_rhs_array(q, gsq, s)
+    lam_u, lam_b = p.normal_stiffness
+    fq = np.sum(f * q, axis=(-2, -1))[..., None, None]
+    h_inv_f = f / lam_b + (1.0 / lam_u - 1.0 / lam_b) * (1.5 / s**2) * fq * q
+    a = corrector_a(q_star, p)
+    assert np.max(norm(a - h_inv_f)) <= 1e-12 * np.max(norm(a))
 
 
 def test_empirical_corrector_recovers_constructed_split(rng):

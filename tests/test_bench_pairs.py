@@ -45,6 +45,26 @@ def test_summary_gain_and_bound(change, gain, within):
     assert (s["gain"], s["within_bound"]) == (gain, within)
 
 
+@pytest.mark.parametrize("parent, change, better, resolved", [
+    # parent IQR 0.75 under the bound's 9.7: resolved, a regression too
+    ([96.5, 97.0, 97.5, 98.0], [120.0] * 4, "lower", True),
+    # parent IQR 55 over the bound's 10, change runs inside the parent's
+    ([50.0, 80.0, 120.0, 150.0], [95.0, 100.0, 105.0, 110.0], "lower", False),
+    # wide parent, but every change run beats every parent run
+    ([50.0, 80.0, 120.0, 150.0], [40.0, 45.0, 46.0, 49.0], "lower", True),
+    # one change run ties the best parent run: not every run beats it
+    ([50.0, 80.0, 120.0, 150.0], [40.0, 45.0, 46.0, 50.0], "lower", False),
+    # higher is better: every change run above every parent run
+    ([50.0, 80.0, 120.0, 150.0], [151.0, 160.0, 170.0, 180.0], "higher", True),
+    ([50.0, 80.0, 120.0, 150.0], [40.0, 45.0, 46.0, 49.0], "higher", False),
+])
+def test_summary_resolved_when_spread_within_bound_or_runs_separate(
+    parent, change, better, resolved
+):
+    s = bench_pairs.summarize(_pairs(parent, change), {**RSS, "better": better})
+    assert s["resolved"] is resolved
+
+
 def test_summary_skips_pairs_without_the_metric():
     pairs = _pairs([1.0, 2.0], [1.0, 2.0])
     pairs[1]["change"]["metrics"] = {}
@@ -70,10 +90,10 @@ def test_solve_s_is_wall_minus_setup_with_no_bound_verdict():
     assert s["parent"]["median"] == 0.875 and s["change"]["median"] == 0.375
     assert (s["change_better_pairs"], s["change_worse_pairs"]) == (2, 0)
     assert s["median_gap"] == -0.5
-    # the fields of a bounded metric, less the bound and its verdict
+    # the fields of a bounded metric, less the bound and its two verdicts
     wall = bench_pairs.summarize(pairs, {**bench_pairs.SOLVE_S, "name": "wall_s",
                                          "bound": 0.25})
-    assert set(wall) - set(s) == {"bound", "within_bound"}
+    assert set(wall) - set(s) == {"bound", "within_bound", "resolved"}
     # an invocation that did not report both terms gets no solve_s
     metrics = {"wall_s": {"value": 1.0}}
     bench_pairs.add_solve_s(metrics)

@@ -11,7 +11,13 @@ from ldglimit.bulk import (
     grad_f_bulk,
     grad_f_bulk_s0,
 )
-from ldglimit.geometry import MaterialParams, project_array, uniaxial
+from ldglimit.geometry import (
+    MaterialParams,
+    normal_basis,
+    project_array,
+    tangent_basis,
+    uniaxial,
+)
 from ldglimit.tensor_algebra import I3, frobenius, from_s0, norm, qtensor, to_s0
 from conftest import random_directors, random_qtensors
 
@@ -100,6 +106,26 @@ def test_grad_f_bulk_finite_difference(rng, unit_params):
         rel = abs(d_fd - d_an) / max(1.0, abs(d_an))
         worst = max(worst, rel)
     assert worst <= 1e-6
+
+
+@pytest.mark.parametrize(
+    "p", [MaterialParams(1.0, 1.0, 1.0), MaterialParams(0.7, 1.3, 0.9),
+          MaterialParams(2.5, 0.4, 3.1)]
+)
+def test_normal_stiffness_is_the_bulk_hessian_on_the_manifold(rng, p):
+    """Central differences of grad_f_bulk at manifold points: the bulk
+    Hessian is lam_u on the uniaxial normal mode, lam_b on the two biaxial
+    ones and 0 on both tangents, as MaterialParams.normal_stiffness states."""
+    lam_u, lam_b = p.normal_stiffness
+    n = random_directors(rng, 200)
+    q = uniaxial(n, p.s_plus)
+    eps = 1e-5
+    z1, z2, z3 = normal_basis(n)
+    t1, t2 = tangent_basis(n)
+    for lam, d in [(lam_u, z1), (lam_b, z2), (lam_b, z3), (0.0, t1), (0.0, t2)]:
+        d = d / norm(d)[..., None, None]
+        hd = (grad_f_bulk(q + eps * d, p) - grad_f_bulk(q - eps * d, p)) / (2 * eps)
+        assert np.max(norm(hd - lam * d)) <= 1e-8
 
 
 def test_f_bulk_shifted_comparable_to_squared_distance(rng, unit_params):

@@ -15,10 +15,14 @@ even pairs and the change first in odd ones, so that a slow phase of the
 host lands on both sides alike.  For every end-to-end metric that the
 change tree's BENCHMARK.json declares, the output gives each side's median,
 quartiles and n, the pairs the change won and lost, the median gap
-(change minus parent), the parent's interquartile range, and whether the
+(change minus parent), the parent's interquartile range, whether the
 change stays within the metric's regression bound (a fraction of the
-parent's median).  ``--trace WORKLOAD:SEED`` adds one ``--trace 1``
-invocation per side and reports the ``--layer`` metrics of each.
+parent's median), and whether that verdict is resolved: it is not when the
+parent's interquartile range exceeds the bound times the parent's median,
+unless every change run beats every parent run, and such a metric is
+reported as unresolved, not as unchanged.  ``--trace WORKLOAD:SEED`` adds
+one ``--trace 1`` invocation per side and reports the ``--layer`` metrics
+of each.
 
 Each side of each pair also gets a derived ``solve_s = wall_s - setup_s``,
 the time after the inputs are ready, summarized next to ``wall_s`` with the
@@ -102,7 +106,8 @@ def _quartiles(xs: list[float]) -> list[float]:
 
 def summarize(pairs: list[dict], metric: dict) -> dict:
     """One end-to-end metric over the pairs in which both sides reported it;
-    the bound verdict only for a metric that declares a bound."""
+    the bound verdict, and whether it is resolved, only for a metric that
+    declares a bound."""
     name, sign = metric["name"], (1.0 if metric["better"] == "lower" else -1.0)
     both = [(p["parent"]["metrics"][name]["value"], p["change"]["metrics"][name]["value"])
             for p in pairs
@@ -131,6 +136,8 @@ def summarize(pairs: list[dict], metric: dict) -> dict:
     if "bound" in metric:
         out["bound"] = metric["bound"]
         out["within_bound"] = sign * gap <= metric["bound"] * abs(pm)
+        out["resolved"] = (iqr <= metric["bound"] * abs(pm)
+                           or min(sign * a for a in parent) > max(sign * b for b in change))
     return out
 
 
