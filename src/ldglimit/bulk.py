@@ -40,16 +40,14 @@ def f_bulk_shifted(q: np.ndarray, p: MaterialParams) -> np.ndarray:
     return f_bulk(q, p) - f_bulk_min(p)
 
 
-def grad_f_bulk_s0(c: np.ndarray, p: MaterialParams) -> np.ndarray:
-    """Gradient of the bulk density w.r.t. the Frobenius product on S0, in
-    S0 coordinates: -a2 c - b2 coords(dev Q^2) + c2 |c|^2 c.  The deviatoric
-    part is the Lagrange-multiplier term of the tracelessness constraint.
-    Computed, and returned, on contiguous component planes (s0_planes)."""
-    c = s0_planes(c)
-    return (p.c2 * dot_s0(c, c) - p.a2)[..., None] * c - p.b2 * dev_square_s0(c)
-
-
 def grad_f_bulk(q: np.ndarray, p: MaterialParams) -> np.ndarray:
-    """The bulk gradient of grad_f_bulk_s0 for Q-tensors (..., 3, 3), as
-    exactly symmetric traceless matrices."""
-    return from_s0(grad_f_bulk_s0(to_s0(q), p))
+    """Gradient of the bulk density w.r.t. the Frobenius product on S0:
+    -a2 Q - b2 dev(Q^2) + c2 |Q|^2 Q.  The deviatoric part is the
+    Lagrange-multiplier term of the tracelessness constraint.  Computed on
+    the contiguous component planes (s0_planes) of the S0 coordinates, and
+    returned in the coordinates given: planes for S0 coordinates (..., 5),
+    exactly symmetric traceless matrices for Q-tensors (..., 3, 3)."""
+    matrix = q.shape[-2:] == (3, 3)
+    c = s0_planes(to_s0(q) if matrix else q)
+    g = (p.c2 * dot_s0(c, c) - p.a2)[..., None] * c - p.b2 * dev_square_s0(c)
+    return from_s0(g) if matrix else g

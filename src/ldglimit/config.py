@@ -61,8 +61,7 @@ class ExperimentConfig(SolveConfig):
             raise ValueError("seed must be nonnegative")
         if not self.output_dir:
             raise ValueError("output_dir must be nonempty")
-        h = (self.box_hi - self.box_lo) / (min(self.dims) + 1)
-        if self.margin and self.margin < 2.0 * h:
+        if self.margin and self.margin < 2.0 * max(self.grid().h):
             raise ValueError("margin must be 0 or at least two node spacings")
 
     def grid(self) -> GridSpec:

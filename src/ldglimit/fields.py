@@ -157,7 +157,8 @@ def poisson_dirichlet(rhs: np.ndarray, h: np.ndarray, shift=0.0) -> np.ndarray:
     sum_a laplacian_eigenvalues(n_a, h_a)[k_a - 1], and DST-I is its own
     inverse up to a factor 2 / (n_a + 1) per axis.  Each DST-I is a product
     with a dense sine matrix per axis (BLAS gemm, about 20x faster than an
-    FFT at 16^3); the matrices and eigenvalues are built once per grid.
+    FFT at 16^3); the matrices and eigenvalues are built once per grid and
+    shift.
     """
     n0, n1, n2 = dims = rhs.shape[:3]
     (s0, s1, s2), scale = _sine_basis(dims, tuple(map(float, h)), float(shift))

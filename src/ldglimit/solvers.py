@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bulk import grad_f_bulk, grad_f_bulk_s0
+from .bulk import grad_f_bulk
 from .errors import (
     DegenerateSpectrum,
     LdglimitError,
@@ -213,7 +213,7 @@ def _ldg_velocity(c: TensorField, p: MaterialParams) -> np.ndarray:
     field: the L2 residual (minus the L2 gradient of the energy / L per
     cell volume) that solve_ldg preconditions."""
     g = laplacian_array(c.values, c.grid.h)
-    g -= grad_f_bulk_s0(c.interior, p) / p.L
+    g -= grad_f_bulk(c.interior, p) / p.L
     return g
 
 
@@ -320,16 +320,14 @@ def solve_ldg(
     fixed, so _monotone_flow's short Barzilai-Borwein steps are steps in it;
     in P the linearized flow has about unit rate, so the first is dt_safety.
     Stationary points satisfy the discrete Euler-Lagrange equation
-    L * lap(Q) = bulk gradient.  The stop reads the S0 residual
-    max sqrt(<g, g>) of the coordinates it flows.  The energy is
-    non-increasing on accepted steps by construction.  The returned field is
-    init with the solved interior (init itself when no step moved it), and
-    el_residual is the residual max |g| of that matrix field, recomputed
-    after from_s0; the two residuals are equal up to rounding.
+    L * lap(Q) = bulk gradient.  el_residual is the residual the stop read,
+    max sqrt(<g, g>) on the S0 coordinates of the last accepted field.  The
+    energy is non-increasing on accepted steps by construction.  The
+    returned field is init with the solved interior (init itself when no
+    step moved it).
     """
     require_on_manifold(init.values[init.boundary_mask()], p.s_plus,
                         "boundary data")
-    h = init.grid.h
     lam_u, lam_b = p.normal_stiffness
     sigma = float(np.sqrt(lam_b * lam_u)) / p.L
     start = TensorField(init.grid, to_s0(init.values))
@@ -352,11 +350,8 @@ def solve_ldg(
     )
     # from_s0(to_s0(Q)) rounds, so a solve that never moved returns init
     if np.array_equal(res.field.values, start.values):
-        q = init.copy()
-    else:
-        q = init.with_interior(from_s0(res.field.interior))
-    vel = laplacian_array(q.values, h) - grad_f_bulk(q.interior, p) / p.L
-    return replace(res, field=q, el_residual=float(np.max(norm(vel))))
+        return replace(res, field=init.copy())
+    return replace(res, field=init.with_interior(from_s0(res.field.interior)))
 
 
 def solve_harmonic(

@@ -1,9 +1,9 @@
 """Algebra of symmetric (traceless) 3x3 matrices.
 
 All functions accept arrays of shape (..., 3, 3) and broadcast over leading
-axes.  Q-tensors are plain ndarrays; `qtensor()` re-projects onto the
-symmetric traceless subspace after additive operations so trace drift stays
-at rounding level.  The `*_s0` functions work on the five coordinates of a
+axes.  Q-tensors are plain ndarrays; `qtensor()` projects onto the
+symmetric traceless subspace, and `to_s0` takes the coordinates of that
+projection.  The `*_s0` functions work on the five coordinates of a
 Q-tensor in an orthonormal basis of that subspace, shape (..., 5), instead.
 """
 

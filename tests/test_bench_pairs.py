@@ -1,6 +1,7 @@
 """The pair summary of tools/bench_pairs.py, on hand-made pairs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -128,3 +129,32 @@ def test_failure_counts_compare_failed_shares(parent, change, shares, more):
                              "change": sum(f for _, f in change)}
     assert (out["failed_share"]["parent"], out["failed_share"]["change"]) == shares
     assert out["more_failed"] is more
+
+
+def _tree(root, script):
+    """A source tree whose perfbench/run.py is script."""
+    (root / "perfbench").mkdir(parents=True)
+    (root / "perfbench" / "run.py").write_text(script)
+    (root / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [RSS]}))
+    return root
+
+
+def test_crashed_invocation_counts_as_one_failed_operation(tmp_path):
+    """A change whose benchmark exits 3 with no output failed the one
+    operation it attempted, so against a clean parent the group reports
+    that the change failed a larger share."""
+    clean = _tree(tmp_path / "parent", (
+        "import json\n"
+        "print(json.dumps({'provenance': {'git_sha': 'p'}}))\n"
+        "print(json.dumps({'attempted': 2, 'failed': 0, 'metrics': "
+        "{'peak_rss_mb': {'value': 90.0, 'unit': 'MB'}}}))\n"))
+    crashing = _tree(tmp_path / "change", "raise SystemExit(3)\n")
+    out = tmp_path / "BENCH_crash.json"
+    assert bench_pairs.main(["--parent", str(clean), "--change", str(crashing),
+                             "--run", "w:0:1", "--seconds", "1",
+                             "--label", "crash", "--out", str(out)]) == 0
+    group = json.loads(out.read_text())["groups"][0]
+    assert group["attempted"] == {"parent": 2, "change": 1}
+    assert group["failed"] == {"parent": 0, "change": 1}
+    assert group["more_failed"] is True
+    assert group["broken"] == {"parent": 0, "change": 1}

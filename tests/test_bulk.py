@@ -9,7 +9,6 @@ from ldglimit.bulk import (
     f_bulk_min,
     f_bulk_shifted,
     grad_f_bulk,
-    grad_f_bulk_s0,
 )
 from ldglimit.geometry import (
     MaterialParams,
@@ -60,17 +59,18 @@ def test_grad_f_bulk_traceless_symmetric(rng, unit_params):
     assert np.max(norm(grad_f_bulk(q, unit_params))) < 1e-12
 
 
-def test_grad_f_bulk_s0_matches_matrix_formula(rng):
-    """The coordinate gradient and its matrix adapter grad_f_bulk agree with
-    the matrix formula -a2 Q - b2 (Q^2 - tr(Q^2) I/3) + c2 tr(Q^2) Q on 10^4
-    random S0 points."""
+def test_grad_f_bulk_matches_matrix_formula_in_both_coordinates(rng):
+    """grad_f_bulk on S0 coordinates and on matrices agrees with the matrix
+    formula -a2 Q - b2 (Q^2 - tr(Q^2) I/3) + c2 tr(Q^2) Q on 10^4 random S0
+    points, and the matrix result is the coordinate one, bit for bit."""
     p = MaterialParams(0.7, 1.3, 1.9)
     q = random_qtensors(rng, 10000, scale=1.5)
     t2 = frobenius(q, q)[..., None, None]
     oracle = -p.a2 * q - p.b2 * (q @ q - t2 / 3.0 * I3) + p.c2 * t2 * q
     bound = 1e-14 * (1.0 + norm(q)) ** 3
-    assert np.all(norm(from_s0(grad_f_bulk_s0(to_s0(q), p)) - oracle) <= bound)
-    assert np.all(norm(grad_f_bulk(q, p) - oracle) <= bound)
+    from_coords = from_s0(grad_f_bulk(to_s0(q), p))
+    assert np.all(norm(from_coords - oracle) <= bound)
+    assert np.array_equal(grad_f_bulk(q, p), from_coords)
 
 
 def _fd_grad(q, p, step=1e-6):

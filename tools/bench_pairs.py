@@ -32,7 +32,9 @@ estimate of the solve phase, not a measured value.
 
 Each group also sums the operations each side attempted and failed, gives
 each side's failed share (``None`` when it attempted none), and sets
-``more_failed`` when the change failed a larger share than the parent.
+``more_failed`` when the change failed a larger share than the parent.  An
+invocation that crashed or printed no result line counts as one attempted
+and one failed operation.
 
 The output file is rewritten after every pair, so a cut run keeps what it
 measured.  Standard library only; the trees need not be git checkouts
@@ -52,7 +54,8 @@ from pathlib import Path
 
 def invoke(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     """One perfbench invocation: its result line plus the provenance line
-    printed before it, or a record of the failure."""
+    printed before it, or a record of the failure: one attempted operation,
+    failed."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     out = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
@@ -61,7 +64,7 @@ def invoke(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> 
         result = json.loads(lines[-1])
         result.update(json.loads(lines[-2]))
     except (IndexError, json.JSONDecodeError):
-        return {"rc": out.returncode, "attempted": 0, "failed": 0, "metrics": {},
+        return {"rc": out.returncode, "attempted": 1, "failed": 1, "metrics": {},
                 "error": out.stderr[-2000:]}
     result["rc"] = out.returncode
     return result
