@@ -22,7 +22,6 @@ from .tensor_algebra import (
     norm,
     outer,
     poly_min,
-    to_s0,
 )
 
 
@@ -221,16 +220,10 @@ def check_identities(
 
 def tangent_basis(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Two Frobenius-orthogonal tangent directions at the manifold point(s)
-    with unit director(s) n."""
+    with unit director(s) n, each of Frobenius norm sqrt(2): divided by it,
+    they are an orthonormal basis of the tangent space."""
     u, v = (np.stack(c, axis=-1) for c in complete_frame(np.moveaxis(n, -1, 0)))
     return outer(n, u) + outer(u, n), outer(n, v) + outer(v, n)
-
-
-def tangent_basis_s0(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """S0 coordinates (to_s0), shape (..., 5), of tangent_basis(n) scaled
-    to unit norm: an orthonormal basis of the tangent space at the
-    manifold point(s) with unit director(s) n."""
-    return tuple(to_s0(t) / np.sqrt(2.0) for t in tangent_basis(n))
 
 
 def normal_basis(n: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -214,18 +214,20 @@ def _require_output_dir(path: str) -> None:
 
 def run_solve(cfg: ExperimentConfig, command: str, log=None):
     """One solve from the configured boundary data at one end of the
-    L-ladder; writes the field CSV and returns (result, path).  An output
-    directory that cannot be written raises OSError before the solve."""
+    L-ladder; warns, as run_sweep does, when it stopped on max_iters, writes
+    the field CSV and returns (result, path).  An output directory that
+    cannot be written raises OSError before the solve."""
     _require_output_dir(cfg.output_dir)
     # read at call time, so a wrapper or test double bound here is what runs
     if command == "solve-harmonic":
-        solve, L, filename = solve_harmonic, cfg.l_ladder[0], "q_star.csv"
+        solve, L, stem = solve_harmonic, cfg.l_ladder[0], "q_star"
     else:
-        solve, L, filename = solve_ldg, cfg.l_ladder[-1], "q_l.csv"
+        solve, L, stem = solve_ldg, cfg.l_ladder[-1], "q_l"
     p = MaterialParams(cfg.a2, cfg.b2, cfg.c2, L=L)
     res = solve(_boundary_field(cfg, cfg.grid(), p), p, cfg, log=log)
+    _warn_max_iters(log, stem, res)
     os.makedirs(cfg.output_dir, exist_ok=True)
-    path = os.path.join(cfg.output_dir, filename)
+    path = os.path.join(cfg.output_dir, stem + ".csv")
     save_field_csv(res.field, path)
     return res, path
 

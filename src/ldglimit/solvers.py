@@ -36,7 +36,7 @@ from .geometry import (
     project_array,
     projection_frame,
     require_on_manifold,
-    tangent_basis_s0,
+    tangent_basis,
 )
 from .tensor_algebra import (
     dev_square_s0,
@@ -94,11 +94,6 @@ class SolveResult:
     @property
     def converged(self) -> bool:
         return self.stop_reason != "max_iters"
-
-
-def _emit(log, cfg: SolveConfig, i: int, e: float, res: float, dt: float) -> None:
-    if log is not None and cfg.log_every > 0 and i % cfg.log_every == 0:
-        log(f"iter={i} energy={format_value(e)} residual={res:.6e} dt={dt:.6e}")
 
 
 def _monotone_flow(
@@ -188,7 +183,10 @@ def _monotone_flow(
         f, e = candidate, e_new
         history.append(e)
         vel, grad, residual = direction(f)
-        _emit(log, cfg, len(history) - 1, e, residual, dt)
+        i = len(history) - 1
+        if log is not None and cfg.log_every > 0 and i % cfg.log_every == 0:
+            log(f"iter={i} energy={format_value(e)} residual={residual:.6e} "
+                f"dt={dt:.6e}")
         small = decrement <= cfg.rel_energy_tol * max(abs(e), 1e-300)
         if not small:
             strike = flat = False
@@ -221,19 +219,19 @@ def _metric_inverse(init: TensorField, p: MaterialParams, sigma: float):
     """g -> P^{-1} g for solve_ldg's metric at the start field init, on
     interior-node arrays of S0 coordinates: P^{-1} = Pi_T (-lap)^{-1} Pi_T
     + Pi_N (-lap + sigma)^{-1} Pi_N, Pi_T x = <x, t1> t1 + <x, t2> t2
-    nodewise with t1, t2 the unit tangent pair (tangent_basis_s0) at init's
-    interior directors and Pi_N = I - Pi_T.  The two are complementary
-    orthogonal projections, so P^{-1} is symmetric positive definite.  The
-    map is (-lap + sigma)^{-1} when some interior node fails
-    projection_frame's eigen-gap test (a defect core).  Only t1 and t2 are
-    kept, stored as planes (s0_planes).
+    nodewise with t1, t2 the S0 coordinates of tangent_basis at init's
+    interior directors, scaled to unit norm, and Pi_N = I - Pi_T.  The two
+    are complementary orthogonal projections, so P^{-1} is symmetric
+    positive definite.  The map is (-lap + sigma)^{-1} when some interior
+    node fails projection_frame's eigen-gap test (a defect core).  Only t1
+    and t2 are kept, stored as planes (s0_planes).
     """
     h = init.grid.h
     try:
         n = projection_frame(init.interior, p)[1][..., :, 0]
     except DegenerateSpectrum:
         return lambda g: poisson_dirichlet(g, h, sigma)
-    t1, t2 = (s0_planes(t) for t in tangent_basis_s0(n))
+    t1, t2 = (s0_planes(to_s0(t) / np.sqrt(2.0)) for t in tangent_basis(n))
 
     def tangential(x: np.ndarray) -> np.ndarray:
         out = dot_s0(x, t1)[..., None] * t1
@@ -252,12 +250,13 @@ def _metric_inverse(init: TensorField, p: MaterialParams, sigma: float):
     return inverse
 
 
-def _start_relative_energy(start: TensorField, p: MaterialParams):
+def _start_relative_energy(start: TensorField, v0: np.ndarray, p: MaterialParams):
     """increment(c) = E(c) - E(start) for S0-coordinate fields c equal to
     start on the boundary layer, E = 0.5 * dirichlet_energy + bulk_energy / L.
 
     With d = c - start (zero on the boundary layer), c0 and v0 the
-    coordinates and the velocity at the start, and sums over interior nodes:
+    coordinates and the velocity (_ldg_velocity) at the start's interior
+    nodes, and sums over interior nodes:
 
         E(c) - E(start) = dirichlet_energy(d) / 2 - vol <v0, d>
                           + (vol / L) sum R,
@@ -273,7 +272,7 @@ def _start_relative_energy(start: TensorField, p: MaterialParams):
     """
     vol = start.grid.cell_volume()
     c0 = s0_planes(start.interior)
-    v0 = s0_planes(_ldg_velocity(start, p))
+    v0 = s0_planes(v0)
     alpha = 0.5 * (p.c2 * dot_s0(c0, c0) - p.a2)
 
     def increment(c: TensorField) -> float:
@@ -333,17 +332,20 @@ def solve_ldg(
     start = TensorField(init.grid, to_s0(init.values))
     # shifted energy / L, per unit cell volume kept implicit
     e0 = 0.5 * dirichlet_energy(init) + bulk_energy(init, p) / p.L
-    increment = _start_relative_energy(start, p)
     metric_inverse = _metric_inverse(init, p, sigma)
 
     def direction(fld: TensorField):
         g = _ldg_velocity(fld, p)
         return metric_inverse(g), g, float(np.sqrt(np.max(dot_s0(g, g))))
 
+    # one evaluation of the start gives the increment's v0 and the flow's
+    # first direction; the popped list then keeps nothing alive
+    first = [direction(start)]
+    increment = _start_relative_energy(start, first[0][1], p)
     res = _monotone_flow(
         start, cfg,
         objective=lambda fld: e0 + increment(fld),
-        direction=direction,
+        direction=lambda fld: first.pop() if first else direction(fld),
         retract=lambda c: c,  # every coordinate vector is in S0
         failure="time step underflow; bulk term too stiff for this grid",
         log=log,

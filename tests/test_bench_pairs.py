@@ -158,3 +158,27 @@ def test_crashed_invocation_counts_as_one_failed_operation(tmp_path):
     assert group["failed"] == {"parent": 0, "change": 1}
     assert group["more_failed"] is True
     assert group["broken"] == {"parent": 0, "change": 1}
+
+
+@pytest.mark.parametrize("change_failed, gain", [(0, True), (1, False)])
+def test_gain_needs_no_larger_failed_share(tmp_path, change_failed, gain):
+    """A change that wins every pair by more than the parent's spread
+    reports a gain, unless it failed an operation where the parent failed
+    none."""
+    def script(failed, rss):
+        result = {"attempted": 2, "failed": failed,
+                  "metrics": {"peak_rss_mb": {"value": rss, "unit": "MB"}}}
+        return (f"print({json.dumps({'provenance': {'git_sha': 'x'}})!r})\n"
+                f"print({json.dumps(result)!r})\n")
+
+    parent = _tree(tmp_path / "parent", script(0, 90.0))
+    change = _tree(tmp_path / "change", script(change_failed, 80.0))
+    out = tmp_path / "BENCH_gain.json"
+    assert bench_pairs.main(["--parent", str(parent), "--change", str(change),
+                             "--run", "w:0:2", "--seconds", "1",
+                             "--label", "gain", "--out", str(out)]) == 0
+    group = json.loads(out.read_text())["groups"][0]
+    summary = group["summary"]["peak_rss_mb"]
+    assert summary["change_better_pairs"] == 2
+    assert group["more_failed"] is (change_failed > 0)
+    assert summary["gain"] is gain

@@ -22,7 +22,6 @@ from ldglimit.geometry import (
     second_fundamental_form,
     tangency_residual,
     tangent_basis,
-    tangent_basis_s0,
     uniaxial,
 )
 from ldglimit.runner import CHECK_TOLERANCES
@@ -35,6 +34,7 @@ from ldglimit.tensor_algebra import (
     norm,
     poly_min,
     qtensor,
+    to_s0,
 )
 from conftest import random_directors
 
@@ -207,8 +207,8 @@ def test_bases_are_orthogonal_frames(rng, unit_params):
             assert float(normality_residual(z, q)) < 1e-12
     # a batch of base points gives, point by point, the same frames
     n = random_directors(rng, 64)
-    # the S0 tangent pair is tangent_basis scaled to an orthonormal pair
-    c1, c2 = tangent_basis_s0(n)
+    # each tangent direction has norm sqrt(2): scaled, the pair is orthonormal
+    c1, c2 = (to_s0(t) / np.sqrt(2.0) for t in tangent_basis(n))
     for c, t in zip((c1, c2), tangent_basis(n)):
         assert np.max(np.abs(np.sqrt(2.0) * from_s0(c) - t)) < 1e-15
         assert np.max(np.abs(dot_s0(c, c) - 1.0)) < 1e-15

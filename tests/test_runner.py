@@ -273,6 +273,25 @@ def test_run_sweep_warns_when_q_star_stopped_on_max_iters():
     assert not any(line.startswith("warning:") for line in logs)
 
 
+@pytest.mark.parametrize("command, stem", [("solve-harmonic", "q_star"),
+                                           ("solve-ldg", "q_l")])
+def test_run_solve_warns_when_stopped_on_max_iters(tmp_path, command, stem):
+    """A solve command that runs out of iterations logs the warning
+    run_sweep gives, named by the artifact it writes; a converged solve logs
+    no warning."""
+    logs = []
+    res, _ = runner.run_solve(tiny_config(max_iters=1, output_dir=str(tmp_path)),
+                              command, log=logs.append)
+    assert res.stop_reason == "max_iters"
+    assert logs == [
+        f"warning: {stem} stopped on max_iters at residual {res.el_residual:.6e}"
+    ]
+    logs.clear()
+    res, _ = runner.run_solve(tiny_config(output_dir=str(tmp_path)), command,
+                              log=logs.append)
+    assert res.converged and logs == []
+
+
 def test_run_sweep_eps_zero_yields_degenerate_fits(tmp_path):
     cfg = tiny_config(eps=0.0, output_dir=str(tmp_path))
     report = run_sweep(cfg)

@@ -4,12 +4,14 @@ preservation, constraint maintenance, and failure paths."""
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ldglimit.solvers as solvers
+from ldglimit.asymptotics import corrector_a
 from ldglimit.config import ExperimentConfig
 from ldglimit.errors import (
     DegenerateSpectrum,
@@ -716,7 +718,57 @@ def test_start_relative_energy_resolves_converged_decrements(sweep_report):
     start = TensorField(field.grid, to_s0(field.values))
     v = solvers._ldg_velocity(start, p)
     t = 1e-4
-    increment = solvers._start_relative_energy(start, p)
+    increment = solvers._start_relative_energy(start, v, p)
     change = increment(start.with_interior(start.interior + t * v))
     first_order = -t * field.grid.cell_volume() * float(np.sum(v * v))
     assert abs(change / first_order - 1.0) <= 1e-2
+
+
+def _sweep_rung_start(sweep_report, L):
+    """The default sweep's start of rung L, Q* + L a, and its parameters."""
+    cfg = sweep_report.config
+    q_star = sweep_report.q_star_result.field
+    a = corrector_a(q_star, MaterialParams(cfg.a2, cfg.b2, cfg.c2,
+                                           L=cfg.l_ladder[0]))
+    p = MaterialParams(cfg.a2, cfg.b2, cfg.c2, L=L)
+    return q_star.with_interior(q_star.interior + L * a), p, cfg
+
+
+@pytest.mark.parametrize("case", ["cold", "rung"])
+def test_ldg_velocity_runs_once_per_accepted_field(monkeypatch, sweep_report,
+                                                   case):
+    """solve_ldg evaluates the L2 residual once on its start, for both the
+    start-relative energy and the flow's first step, and once on each
+    accepted field: iterations + 1 evaluations (32 on the cold 8^3
+    L = 0.02 solve, 7 on the default sweep's L = 0.02 rung)."""
+    if case == "cold":
+        p = make_params(L=0.02)
+        grid = GridSpec(dims=(8, 8, 8), box=((0.0, 8.0),) * 3)
+        init, cfg = boundary_near_constant(grid, p, 0.2), SolveConfig()
+    else:
+        init, p, cfg = _sweep_rung_start(sweep_report, 0.02)
+    calls = [0]
+    original = solvers._ldg_velocity
+
+    def counted(c, params):
+        calls[0] += 1
+        return original(c, params)
+
+    monkeypatch.setattr(solvers, "_ldg_velocity", counted)
+    res = solve_ldg(init, p, cfg)
+    assert calls[0] == res.iterations + 1
+
+
+def test_solve_ldg_memory_on_a_sweep_rung(sweep_report):
+    """On the default sweep's L = 0.02 rung start the solve's traced peak
+    stays within 11.5 interior matrix-field sizes (10.8 measured; keeping
+    the start's velocity and L2 residual for the whole flow measured
+    11.9)."""
+    init, p, cfg = _sweep_rung_start(sweep_report, 0.02)
+    tracemalloc.start()
+    try:
+        solve_ldg(init, p, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 11.5 * init.interior.nbytes

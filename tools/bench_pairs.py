@@ -36,6 +36,12 @@ each side's failed share (``None`` when it attempted none), and sets
 invocation that crashed or printed no result line counts as one attempted
 and one failed operation.
 
+A metric's ``gain`` is true when the change won at least nine tenths of the
+pairs, its median beats the parent's by more than the parent's
+interquartile range, and the group's ``more_failed`` is false: a change
+that fails a larger share of operations reports no gain, however its
+values compare.
+
 The output file is rewritten after every pair, so a cut run keeps what it
 measured.  Standard library only; the trees need not be git checkouts
 (each side records perfbench's provenance: commit, source digest, host).
@@ -107,10 +113,11 @@ def _quartiles(xs: list[float]) -> list[float]:
     return [q[0], q[2]]
 
 
-def summarize(pairs: list[dict], metric: dict) -> dict:
+def summarize(pairs: list[dict], metric: dict, more_failed: bool = False) -> dict:
     """One end-to-end metric over the pairs in which both sides reported it;
-    the bound verdict, and whether it is resolved, only for a metric that
-    declares a bound."""
+    no gain when more_failed (the change failed a larger share of
+    operations); the bound verdict, and whether it is resolved, only for a
+    metric that declares a bound."""
     name, sign = metric["name"], (1.0 if metric["better"] == "lower" else -1.0)
     both = [(p["parent"]["metrics"][name]["value"], p["change"]["metrics"][name]["value"])
             for p in pairs
@@ -134,7 +141,7 @@ def summarize(pairs: list[dict], metric: dict) -> dict:
         "change_worse_pairs": worse,
         "median_gap": gap,
         "parent_iqr": iqr,
-        "gain": better >= 0.9 * len(both) and sign * -gap > iqr,
+        "gain": not more_failed and better >= 0.9 * len(both) and sign * -gap > iqr,
     }
     if "bound" in metric:
         out["bound"] = metric["bound"]
@@ -208,7 +215,8 @@ def main(argv=None) -> int:
             # invocations that crashed or printed no result line
             group["broken"] = {s: sum(p[s]["rc"] != 0 or "error" in p[s] for p in pairs)
                                for s in trees}
-            group["summary"] = {m["name"]: summarize(pairs, m) for m in summarized}
+            group["summary"] = {m["name"]: summarize(pairs, m, group["more_failed"])
+                                for m in summarized}
             write()
             print(f"{workload} seed {seed} pair {i + 1}/{n}: " + ", ".join(
                 f"{m} {pair['parent']['metrics'].get(m, {}).get('value')} -> "
