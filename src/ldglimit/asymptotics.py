@@ -100,12 +100,12 @@ def _diagnostics(
     """compute_xyz's y and z at the nodes q with edge-based squared
     gradient gsq, and the harmonic right-hand side that z is built from."""
     s = p.s_plus
-    gn2 = np.trace(gsq, axis1=-2, axis2=-1)
+    gn2 = np.einsum("...ii->...", gsq)
     k = 2.0 / p.normal_stiffness[0]
 
     rhs = harmonic_rhs_array(q, gsq, s)
     x = poly_min(q, s) / p.L
-    y = np.trace(x, axis1=-2, axis2=-1) + k * gn2
+    y = np.einsum("...ii->...", x) + k * gn2
     z = x + (k * gn2[..., None, None] * (p.c2 * q + (p.b2 / 3.0) * I3) + rhs) / p.b2
     return y, z, rhs
 
@@ -147,7 +147,7 @@ def corrector_a(q_star: TensorField, p: MaterialParams) -> np.ndarray:
         require_on_manifold(v[2:] if lo else v, s, "limit field")
         q = v[_IN, _IN, _IN]
         gsq = grad_squared(gradient_array(v, q_star.grid.h))
-        gn2 = np.trace(gsq, axis1=-2, axis2=-1)[..., None, None]
+        gn2 = np.einsum("...ii->...", gsq)[..., None, None]
         bracket = k * gn2 * ((p.c2 * q + (p.b2 / 3.0) * I3) @ (q - (s / 6.0) * I3))
         out[lo:hi] = -(2.0 / (p.b2 * s**2)) * (bracket - gsq)
     return out
@@ -189,7 +189,7 @@ def corrector_b_residual(
     lap_a = laplacian_array(a, h)
     grads_b = gradient_array(b, h)
     grads_q = gradient_array(q_star.values, h)[:, _IN, _IN, _IN]
-    gn2 = np.trace(grad_squared(grads_q), axis1=-2, axis2=-1)
+    gn2 = np.einsum("...ii->...", grad_squared(grads_q))
 
     # tangential projections at the local limit point
     grads_b_tan = grads_b - normal_component(grads_b, q_in, s)
@@ -294,7 +294,7 @@ def _slab_residual(
 
     # T = Q_L - (2/9) s tr(K) I + beta n n^T has Q_L's eigenvectors, and its
     # eigenvalues are Q_L's shifted (beta on the top one only)
-    tr_k = np.trace(k_in, axis1=-2, axis2=-1)
+    tr_k = np.einsum("...ii->...", k_in)
     lam = w_l[_IN, _IN, _IN] - ((2.0 / 9.0) * s * tr_k)[..., None]
     lam[..., 0] += beta
     # elementwise over the columns: a size-3 axis reduction is far slower

@@ -22,6 +22,7 @@ from .tensor_algebra import (
     norm,
     outer,
     poly_min,
+    top_eigenpair,
 )
 
 
@@ -87,23 +88,30 @@ def projection_frame(
     Raises DegenerateSpectrum if any entry fails the eigen-gap precondition
     or is not finite.
     """
-    # eigen-gap proxy for the tubular neighborhood where the nearest-point
-    # projection is single-valued
-    gap_tol = 0.1 * p.s_plus
     w, v = eigh_descending(q)
-    gap = w[..., 0] - w[..., 1]
-    if not np.all(gap >= gap_tol):  # a NaN entry fails too
-        worst = float(np.min(gap))
-        raise DegenerateSpectrum(
-            f"top eigenvalue gap {worst:.3e} below tolerance {gap_tol:.3e}"
-        )
+    _require_gap(w[..., 0] - w[..., 1], p)
     return w, v
 
 
 def project_array(q: np.ndarray, p: MaterialParams) -> np.ndarray:
-    """Nearest-point projection of tensors of shape (..., 3, 3).  Raises
-    DegenerateSpectrum as projection_frame does."""
-    return uniaxial(projection_frame(q, p)[1][..., :, 0], p.s_plus)
+    """Nearest-point projection of tensors of shape (..., 3, 3), from their
+    top eigenpairs only (top_eigenpair).  Raises DegenerateSpectrum as
+    projection_frame does."""
+    gap, n = top_eigenpair(q)
+    _require_gap(gap, p)
+    return uniaxial(n, p.s_plus)
+
+
+def _require_gap(gap: np.ndarray, p: MaterialParams) -> None:
+    """Raise DegenerateSpectrum unless every top eigenvalue gap is at least
+    0.1 s_+, the eigen-gap proxy for the tubular neighborhood where the
+    nearest-point projection is single-valued (a NaN gap fails too)."""
+    gap_tol = 0.1 * p.s_plus
+    if not np.all(gap >= gap_tol):
+        worst = float(np.min(gap))
+        raise DegenerateSpectrum(
+            f"top eigenvalue gap {worst:.3e} below tolerance {gap_tol:.3e}"
+        )
 
 
 def normal_component(a: np.ndarray, q: np.ndarray, s_plus: float) -> np.ndarray:
@@ -150,7 +158,7 @@ def harmonic_rhs_array(
     edge_grad_squared) or any symmetric sum of products of gradients; form
     ii takes |grad Q|^2 as its trace."""
     if form == "ii":
-        gn2 = np.trace(gsq, axis1=-2, axis2=-1)[..., None, None]
+        gn2 = np.einsum("...ii->...", gsq)[..., None, None]
         return (
             -(2.0 / s_plus**2) * gn2 * q
             + (2.0 / s_plus) * (gsq - gn2 / 3.0 * I3)
@@ -192,10 +200,10 @@ def check_identities(
     trxy = frobenius(x, y)
     t = trxy[..., None, None]
     xyq = xy @ q
-    record("trace_product", np.abs(np.trace(xyq, axis1=-2, axis2=-1) - s / 3.0 * trxy))
+    record("trace_product", np.abs(np.einsum("...ii->...", xyq) - s / 3.0 * trxy))
     record("anticomm_product", norm(xyq + (s / 3.0) * xy - t * q - (s / 3.0) * t * I3))
     p1 = q / s + I3 / 3.0
-    k = frobenius(q, z) / s + np.trace(z, axis1=-2, axis2=-1) / 3.0
+    k = frobenius(q, z) / s + np.einsum("...ii->...", z) / 3.0
     record("rank_one_projector", norm(p1 @ z - k[..., None, None] * p1))
     record("tangent_pair_is_normal", norm(comm(xy, q)))
     record("normal_pair_is_normal", norm(comm(anticomm(z, z), q)))

@@ -21,7 +21,7 @@ def sym(m: np.ndarray) -> np.ndarray:
 
 def dev(m: np.ndarray) -> np.ndarray:
     """Traceless (deviatoric) part of m."""
-    tr = np.trace(m, axis1=-2, axis2=-1)
+    tr = np.einsum("...ii->...", m)
     return m - tr[..., None, None] / 3.0 * I3
 
 
@@ -141,11 +141,13 @@ def poly_min(q: np.ndarray, s_plus: float) -> np.ndarray:
     return q @ q - (s_plus / 3.0) * q - (2.0 / 9.0) * s_plus**2 * I3
 
 
-# matrices per pass of eigh_descending (64 KiB per-component temporaries)
-# and the identity suite ((8192, 3, 3) temporaries, 576 KiB): at 1e5, blocks
-# of 2048-16384 timed alike within noise (suite 0.56-0.85 s, eigh 41-61 ms,
-# best of 5, one thread, 2-vCPU Xeon), one whole pass 1.3-1.6x slower
-CACHE_BLOCK = 8192
+# matrices per pass of eigh_descending and top_eigenpair (32 KiB
+# per-component temporaries) and the identity suite ((4096, 3, 3)
+# temporaries, 288 KiB, so the suite's working set fits a 2 MiB L2).
+# Identity suite at 1e5 trials, ms, median over 8 fresh one-thread
+# processes (best of 3 in each), block sizes alternating, 2-vCPU Xeon:
+# block 2048: 388, 3072: 391, 4096: 396, 6144: 439, 8192: 441, 16384: 459
+CACHE_BLOCK = 4096
 
 
 def complete_frame(e) -> tuple[tuple, tuple]:
@@ -172,7 +174,7 @@ def eigh_descending(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns (w, v) with w shape (..., 3) and v columns matching w.  One
     closed form for every matrix (Smith, Commun. ACM 4, 1961; eigenvectors
     as in Kopp, Int. J. Mod. Phys. C 19, 2008), on B = (A - mI)/p with
-    m = tr(A)/3 and tr(B^2) = 6 (B = 0 for scalar A):
+    m = tr(A)/3 and tr(B^2) = 6 (B = 0 for scalar A), in two stages:
 
     - the trigonometric formula gives the extreme eigenvalue mu of B whose
       gap to the middle one is larger, so that gap is at least 1.5 and
@@ -181,26 +183,79 @@ def eigh_descending(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
       longest cross product of two rows of B - mu I; that column is longer
       than 2 (3 e1 for scalar A, where B - mu I = -sqrt(3) I), so it never
       vanishes;
-    - one 2x2 Jacobi rotation diagonalizes B on the orthogonal complement
-      and gives the other two eigenpairs.
+    - then one 2x2 Jacobi rotation diagonalizes B on the orthogonal
+      complement and gives the other two eigenpairs.
 
     The closed form runs over blocks of CACHE_BLOCK matrices.  It is
     elementwise, so the result does not depend on the block size.
     """
-    a = np.asarray(q, dtype=float)
-    batch = a.shape[:-2]
-    flat = a.reshape(-1, 9)
+    flat, batch = _rows(q)
     w = np.empty((len(flat), 3))
     v = np.empty((len(flat), 3, 3))
     for lo in range(0, len(flat), CACHE_BLOCK):
         hi = lo + CACHE_BLOCK
-        _eigh_block(flat[lo:hi], w[lo:hi], v[lo:hi])
+        _jacobi_stage(_closed_form_stage(flat[lo:hi]), w[lo:hi], v[lo:hi])
     return w.reshape(batch + (3,)), v.reshape(batch + (3, 3))
 
 
-def _eigh_block(flat: np.ndarray, w: np.ndarray, v: np.ndarray) -> None:
-    """eigh_descending of the rows of flat, shape (k, 9), into w (k, 3) and
-    v (k, 3, 3)."""
+def top_eigenpair(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(gap, n): the gap w_0 - w_1 between the top two eigenvalues, shape
+    (...), and the top eigenvector n, shape (..., 3), of symmetric 3x3
+    matrices; n is bit-identical to eigh_descending(q)[1][..., :, 0].
+
+    Per block of CACHE_BLOCK matrices: where every matrix has its top
+    eigenvalue as eigh_descending's separated mu (det B >= 0), n is the
+    closed form's e and the Jacobi stage does not run.  The gap is then
+    p (3 mu - d) / 2, with d the spread of B's lower two eigenvalues read
+    off M = B + (mu/2) I - (3 mu/2) e e^T, whose Frobenius norm is
+    d/sqrt(2): M's entries are small where d is, so d keeps its absolute
+    accuracy on uniaxial matrices, where the trigonometric middle
+    eigenvalue loses half the digits.  Any other block (NaN included) runs
+    the Jacobi stage and returns eigh_descending's n and w_0 - w_1
+    exactly.  The gaps of the two branches agree to about 1e-15 relative.
+    """
+    flat, batch = _rows(q)
+    gap = np.empty(len(flat))
+    n = np.empty((len(flat), 3))
+    for lo in range(0, len(flat), CACHE_BLOCK):
+        hi = lo + CACHE_BLOCK
+        stage = _closed_form_stage(flat[lo:hi])
+        _, p, (b0, b1, b2, b01, b02, b12), top, mu, (ex, ey, ez) = stage
+        if np.all(top):
+            # M = B + h I - t e e^T with h = mu/2, t = 3 mu/2
+            h, t = 0.5 * mu, 1.5 * mu
+            m00 = b0 + h - t * ex * ex
+            m11 = b1 + h - t * ey * ey
+            m22 = b2 + h - t * ez * ez
+            m01 = b01 - t * ex * ey
+            m02 = b02 - t * ex * ez
+            m12 = b12 - t * ey * ez
+            d = np.sqrt(
+                2.0 * (m00 * m00 + m11 * m11 + m22 * m22)
+                + 4.0 * (m01 * m01 + m02 * m02 + m12 * m12)
+            )
+            gap[lo:hi] = p * (t - 0.5 * d)
+            n[lo:hi, 0], n[lo:hi, 1], n[lo:hi, 2] = ex, ey, ez
+        else:
+            w_blk = np.empty((len(p), 3))
+            v_blk = np.empty((len(p), 3, 3))
+            _jacobi_stage(stage, w_blk, v_blk)
+            gap[lo:hi] = w_blk[:, 0] - w_blk[:, 1]
+            n[lo:hi] = v_blk[:, :, 0]
+    return gap.reshape(batch), n.reshape(batch + (3,))
+
+
+def _rows(q: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """q as rows of shape (k, 9), and its batch shape."""
+    a = np.asarray(q, dtype=float)
+    return a.reshape(-1, 9), a.shape[:-2]
+
+
+def _closed_form_stage(flat: np.ndarray) -> tuple:
+    """The closed form's first stage on the rows of flat, shape (k, 9):
+    (m, p, B's entries (b0, b1, b2, b01, b02, b12), top, mu, e), with top
+    true where mu is B's top eigenvalue and e = (ex, ey, ez) the unit
+    eigenvector of mu."""
     a00, a01, a02, _, a11, a12, _, _, a22 = flat.T
     m = (a00 + a11 + a22) / 3.0
     b0, b1, b2 = a00 - m, a11 - m, a22 - m
@@ -241,8 +296,15 @@ def _eigh_block(flat: np.ndarray, w: np.ndarray, v: np.ndarray) -> None:
     ex = np.where(k0, c00, np.where(k1, c01, c02)) * inv_n
     ey = np.where(k0, c01, np.where(k1, c11, c12)) * inv_n
     ez = np.where(k0, c02, np.where(k1, c12, c22)) * inv_n
+    return m, p, (b0, b1, b2, b01, b02, b12), top, mu, (ex, ey, ez)
 
-    (ux, uy, uz), (vx, vy, vz) = complete_frame((ex, ey, ez))
+
+def _jacobi_stage(stage: tuple, w: np.ndarray, v: np.ndarray) -> None:
+    """The closed form's second stage: from _closed_form_stage's result,
+    the descending eigenvalues into w (k, 3) and eigenvectors into
+    v (k, 3, 3)."""
+    m, p, (b0, b1, b2, b01, b02, b12), top, mu, e = stage
+    (ux, uy, uz), (vx, vy, vz) = complete_frame(e)
 
     # B on span(u, v) and the Jacobi rotation that diagonalizes it
     bu0 = b0 * ux + b01 * uy + b02 * uz
@@ -265,7 +327,6 @@ def _eigh_block(flat: np.ndarray, w: np.ndarray, v: np.ndarray) -> None:
     w_e = m + p * mu
     w_a = m + p * (mid + half_r)
     w_b = m + p * (mid - half_r)
-    e = (ex, ey, ez)
     f = (cos_t * ux + sin_t * vx, cos_t * uy + sin_t * vy, cos_t * uz + sin_t * vz)
     g = (cos_t * vx - sin_t * ux, cos_t * vy - sin_t * uy, cos_t * vz - sin_t * uz)
     w[:, 0] = np.where(top, w_e, w_a)

@@ -60,3 +60,24 @@ def random_qtensors(rng, n, scale=1.0):
 def random_directors(rng, n):
     v = rng.normal(size=(n, 3))
     return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+def prolate_head_batch(rng, n_prolate, n_tail=64):
+    """n_prolate + n_tail symmetric matrices: first the zero matrix and
+    prolate ones (the traceless part has a positive determinant), near
+    uniaxial at s_+ = 1.5, exactly or up to perturbations of 1e-12 to 0.05,
+    scaled and shifted by multiples of I; then a tail of such prolate
+    matrices, their negatives (oblate) and one NaN matrix."""
+    n = n_prolate + n_tail
+    d = random_directors(rng, n)
+    pert = rng.normal(size=(n, 3, 3))
+    pert = 0.5 * (pert + np.swapaxes(pert, -1, -2))
+    amp = rng.choice([0.0, 1e-12, 1e-3, 0.05], size=n)[:, None, None]
+    gain = rng.choice([1.0, 1e-8, 1e8], size=n)[:, None, None]
+    shift = rng.normal(size=n)[:, None, None]
+    q = gain * (1.5 * (d[:, :, None] * d[:, None, :] - np.eye(3) / 3.0) + amp * pert)
+    q += shift * gain * np.eye(3)
+    q[0] = 0.0
+    q[n_prolate::2] *= -1.0
+    q[n_prolate + 1] = np.nan
+    return q

@@ -7,8 +7,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from ldglimit import solvers, tensor_algebra
 from ldglimit.errors import DegenerateSpectrum
-from ldglimit.fields import gradient_array
+from ldglimit.fields import GridSpec, boundary_hedgehog, gradient_array
 from ldglimit.geometry import (
     MaterialParams,
     check_identities,
@@ -36,7 +37,7 @@ from ldglimit.tensor_algebra import (
     qtensor,
     to_s0,
 )
-from conftest import random_directors
+from conftest import prolate_head_batch, random_directors
 
 E1, E2, E3 = np.eye(3)
 
@@ -149,6 +150,68 @@ def test_projection_degenerate_spectrum(rng, unit_params):
         project_array(top_gap(0.99 * 0.15), unit_params)
     proj = project_array(top_gap(1.01 * 0.15), unit_params)
     assert np.allclose(proj, uniaxial(E1, unit_params.s_plus))
+
+
+def _degenerate_message(fn, q, p):
+    """The DegenerateSpectrum message fn(q, p) raises, or None."""
+    try:
+        fn(q, p)
+    except DegenerateSpectrum as exc:
+        return str(exc)
+    return None
+
+
+def test_project_array_raises_where_projection_frame_raises(rng, unit_params):
+    """project_array reads the top eigenpair without the Jacobi stage on
+    prolate blocks, yet raises, with the same message, on exactly the
+    inputs where projection_frame raises."""
+    p = unit_params
+
+    def top_gap(gap, sign=1.0):
+        return sign * np.diag([2.0 * gap / 3.0, -gap / 3.0, -gap / 3.0])
+
+    q = prolate_head_batch(rng, tensor_algebra.CACHE_BLOCK)
+    small = 0.1 * q[:200] + qtensor(0.07 * rng.normal(size=(200, 3, 3)))
+    cases = [top_gap(0.99 * 0.15), top_gap(1.01 * 0.15), top_gap(0.3, -1.0)]
+    raised = 0
+    for qi in list(q[:40]) + list(q[-40:]) + list(small) + cases:
+        msg = _degenerate_message(projection_frame, qi, p)
+        assert _degenerate_message(project_array, qi, p) == msg
+        raised += msg is not None
+    assert 30 <= raised <= 250
+    for batch in (q, q[1:tensor_algebra.CACHE_BLOCK]):
+        msg = _degenerate_message(projection_frame, batch, p)
+        assert _degenerate_message(project_array, batch, p) == msg
+
+
+def _assert_projection_is_frame_director(q, p):
+    director = projection_frame(q, p)[1][..., :, 0]
+    assert np.array_equal(project_array(q, p), uniaxial(director, p.s_plus))
+
+
+def test_project_array_is_the_projection_frame_director_on_solved_fields(
+    sweep_report, monkeypatch
+):
+    """On the solved default 16^3 Q* and its ladder's Q_L, and on every
+    point the 12^3 hedgehog's harmonic solve retracts (defect data next to
+    the core), the projection is, bit for bit, the manifold point of
+    projection_frame's director."""
+    cfg = sweep_report.config
+    p = MaterialParams(cfg.a2, cfg.b2, cfg.c2)
+    _assert_projection_is_frame_director(sweep_report.q_star_result.field.values, p)
+    for res in sweep_report.results_by_l.values():
+        _assert_projection_is_frame_director(res.field.values, p)
+
+    retracted = []
+    retract = solvers.project_array
+    monkeypatch.setattr(
+        solvers, "project_array", lambda m, p: retracted.append(m) or retract(m, p)
+    )
+    grid = GridSpec(dims=(12,) * 3, box=((-1.0, 1.0),) * 3)
+    res = solvers.solve_harmonic(boundary_hedgehog(grid, p), p, solvers.SolveConfig())
+    assert res.converged and len(retracted) >= res.iterations
+    for m in retracted:
+        _assert_projection_is_frame_director(m, p)
 
 
 def test_split_examples(rng, unit_params):

@@ -21,9 +21,10 @@ from ldglimit.tensor_algebra import (
     qtensor,
     sym,
     to_s0,
+    top_eigenpair,
     trace3,
 )
-from conftest import random_directors, random_qtensors
+from conftest import prolate_head_batch, random_directors, random_qtensors
 
 
 def test_sym_dev_qtensor_properties(rng):
@@ -162,6 +163,42 @@ def test_eigh_descending_batched(rng):
     pieces = [eigh_descending(q[:b]), eigh_descending(q[b:b + 5])]
     assert np.array_equal(w, np.concatenate([pieces[0][0], pieces[1][0]]))
     assert np.array_equal(v, np.concatenate([pieces[0][1], pieces[1][1]]))
+
+
+def test_top_eigenpair_matches_eigh_descending(rng, monkeypatch):
+    """A first block of prolate matrices (and the zero matrix) takes the
+    closed form's first stage only; the mixed tail block, with oblate
+    matrices and NaN, runs the Jacobi stage.  Either way n is
+    eigh_descending's first column bit for bit and the gap is w_0 - w_1."""
+    b = tensor_algebra.CACHE_BLOCK
+    q = prolate_head_batch(rng, b)
+    det = np.linalg.det(dev(q[:b]))
+    assert np.all(det[1:] > 0.0) and det[0] == 0.0
+    tail = np.delete(q[b:], 1, axis=0)  # less the NaN matrix
+    assert np.sum(np.linalg.det(dev(tail)) < 0.0) >= 20
+    jacobi_blocks = []
+    jacobi = tensor_algebra._jacobi_stage
+    monkeypatch.setattr(
+        tensor_algebra, "_jacobi_stage",
+        lambda stage, w, v: jacobi_blocks.append(len(w)) or jacobi(stage, w, v),
+    )
+    gap, n = top_eigenpair(q)
+    assert jacobi_blocks == [len(q) - b]
+    monkeypatch.undo()
+    w, v = eigh_descending(q)
+    ref = w[..., 0] - w[..., 1]
+    assert gap.shape == q.shape[:-2] and n.shape == q.shape[:-1]
+    assert np.array_equal(n, v[..., :, 0], equal_nan=True)
+    assert np.array_equal(np.isnan(gap), np.isnan(ref)) and np.isnan(gap[b + 1])
+    ok = ~np.isnan(ref)
+    assert np.all(np.abs(gap - ref)[ok] <= 1e-12 * np.abs(ref)[ok])
+    assert gap[0] == 0.0
+    # broadcasts over leading axes and a single matrix
+    gap2, n2 = top_eigenpair(q[:120].reshape(4, 30, 3, 3))
+    assert np.array_equal(n2, n[:120].reshape(4, 30, 3))
+    assert np.array_equal(gap2, gap[:120].reshape(4, 30))
+    gap1, n1 = top_eigenpair(q[7])
+    assert gap1.shape == () and np.array_equal(n1, n[7])
 
 
 def test_trace3_and_matmul_sum_einsum_oracle(rng):
